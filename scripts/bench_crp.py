@@ -13,9 +13,8 @@ Every run asserts the two modes are *byte-identical*: SHA-256 digests
 over the chosen moves (all cell positions after the iteration), the
 committed routes (sorted edge lists), and the flow quality (GR
 wirelength / vias / overflow / total route cost) must match between
-modes, between repeat runs of one mode, and between serial and
-``--workers 2`` execution.  The kernel is a pure speedup, never a
-behavior change.
+modes and between repeat runs of one mode.  The kernel is a pure
+speedup, never a behavior change.
 
 Usage::
 
@@ -67,52 +66,41 @@ def _digest(payload: object) -> str:
     ).hexdigest()
 
 
-def run_once(bench: str, fast: bool, workers: int = 0) -> tuple[float, dict]:
+def run_once(bench: str, fast: bool) -> tuple[float, dict]:
     """One routed design + one CR&P iteration; returns (seconds, digests)."""
     design = make_design(bench)
     router = GlobalRouter(design)
-    executor = None
-    if workers:
-        from repro.par import ParallelExecutor
-
-        executor = ParallelExecutor(workers).bind(router)
-    try:
-        router.route_all(rrr_passes=RRR_PASSES)
-        framework = CrpFramework(
-            design, router, CrpConfig(use_fast_ecc=fast)
-        )
-        t0 = time.perf_counter()
-        framework.run_iteration(0)
-        seconds = time.perf_counter() - t0
-        digests = {
-            "moves": _digest(
-                sorted(
-                    (name, cell.x, cell.y, str(cell.orient))
-                    for name, cell in design.cells.items()
-                )
-            ),
-            "routes": _digest(
-                sorted(
-                    (name, sorted(map(str, route.edges)))
-                    for name, route in router.routes.items()
-                )
-            ),
-            "quality": _digest(
-                {
-                    "wirelength_dbu": router.total_wirelength_dbu(),
-                    "vias": router.total_vias(),
-                    "overflow": router.total_overflow(),
-                    "total_route_cost": framework._total_route_cost(),
-                }
-            ),
-        }
-    finally:
-        if executor is not None:
-            executor.close()
+    router.route_all(rrr_passes=RRR_PASSES)
+    framework = CrpFramework(design, router, CrpConfig(use_fast_ecc=fast))
+    t0 = time.perf_counter()
+    framework.run_iteration(0)
+    seconds = time.perf_counter() - t0
+    digests = {
+        "moves": _digest(
+            sorted(
+                (name, cell.x, cell.y, str(cell.orient))
+                for name, cell in design.cells.items()
+            )
+        ),
+        "routes": _digest(
+            sorted(
+                (name, sorted(map(str, route.edges)))
+                for name, route in router.routes.items()
+            )
+        ),
+        "quality": _digest(
+            {
+                "wirelength_dbu": router.total_wirelength_dbu(),
+                "vias": router.total_vias(),
+                "overflow": router.total_overflow(),
+                "total_route_cost": framework._total_route_cost(),
+            }
+        ),
+    }
     return seconds, digests
 
 
-def bench_design(bench: str, workers: int) -> dict:
+def bench_design(bench: str) -> dict:
     """Interleaved median-of-RUNS timing plus the byte-equality asserts."""
     samples: dict[str, list[float]] = {"fast": [], "slow": []}
     digests: dict[str, dict] = {}
@@ -132,21 +120,9 @@ def bench_design(bench: str, workers: int) -> dict:
             f"  fast: {digests['fast']}\n"
             f"  slow: {digests['slow']}"
         )
-    workers_entry = None
-    if workers:
-        workers_entry = {}
-        for mode, fast in (("fast", True), ("slow", False)):
-            seconds, run_digests = run_once(bench, fast, workers=workers)
-            if run_digests != digests[mode]:
-                raise SystemExit(
-                    f"FAIL: {bench} {mode} diverges at workers={workers}: "
-                    f"{run_digests} != {digests[mode]}"
-                )
-            workers_entry[f"{mode}_s"] = round(seconds, 6)
-        workers_entry["workers"] = workers
     fast_s = statistics.median(samples["fast"])
     slow_s = statistics.median(samples["slow"])
-    entry = {
+    return {
         "design": bench,
         "crp_iteration": {
             "slow_s": round(slow_s, 6),
@@ -155,20 +131,16 @@ def bench_design(bench: str, workers: int) -> dict:
         },
         "digests": digests["fast"],
     }
-    if workers_entry is not None:
-        entry["workers_run"] = workers_entry
-    return entry
 
 
-def run_benchmarks(benches: tuple[str, ...], workers: int) -> dict:
+def run_benchmarks(benches: tuple[str, ...]) -> dict:
     designs = []
     for bench in benches:
         print(
-            f"benchmarking {bench} ({RUNS}x interleaved fast/slow"
-            f"{f', plus workers={workers} parity' if workers else ''})...",
+            f"benchmarking {bench} ({RUNS}x interleaved fast/slow)...",
             flush=True,
         )
-        designs.append(bench_design(bench, workers))
+        designs.append(bench_design(bench))
     return {
         "schema": SCHEMA,
         "median_of": RUNS,
@@ -231,11 +203,6 @@ def main() -> int:
         help="comma-separated subset of designs to measure",
     )
     parser.add_argument(
-        "--workers", type=int, default=2,
-        help="also assert byte-equality under this executor width "
-        "(0 disables the parallel parity run)",
-    )
-    parser.add_argument(
         "--min-speedup", type=float, default=MIN_SPEEDUP,
         help=f"gated-design speedup floor (default {MIN_SPEEDUP})",
     )
@@ -244,7 +211,7 @@ def main() -> int:
     benches = tuple(
         name for name in args.designs.split(",") if name.strip()
     )
-    report = run_benchmarks(benches, args.workers)
+    report = run_benchmarks(benches)
     text = json.dumps(report, indent=1)
     if args.output:
         atomic_write(args.output, text + "\n")

@@ -4,8 +4,8 @@ The interprocedural passes need a *whole-program* view that the
 per-file linter deliberately avoids: which function a call lands in,
 which functions a worker process can reach, whether a loop's callee
 eventually polls the deadline stack.  :class:`Project` parses every
-file once, assigns dotted module names (``src/repro/par/worker.py`` ->
-``repro.par.worker``), indexes functions by qualified name
+file once, assigns dotted module names (``src/repro/groute/maze.py`` ->
+``repro.groute.maze``), indexes functions by qualified name
 (``repro.groute.router.GlobalRouter.route_all``), and resolves call
 expressions back to those qualified names.
 
@@ -17,7 +17,7 @@ method calls within the defining class, and — for attribute calls like
 assignments (``router = GlobalRouter(design)``), parameter/variable
 annotations (including string annotations and ``X | None`` unions),
 ``self.attr`` assignments inside a class, and cross-object attribute
-stores whose both sides have known types (``router.executor = self``).
+stores whose both sides have known types (``router.cost_cache = self``).
 A unique-bare-name heuristic catches the remainder: when exactly one
 project function has that name (and the name is not generic), the call
 resolves to it.  Ambiguous or foreign (stdlib) calls stay unresolved
@@ -76,7 +76,7 @@ class ModuleInfo:
     path: str
     source: str
     tree: ast.Module
-    #: local name -> dotted import target ("parworker" -> "repro.par.worker")
+    #: local name -> dotted import target ("maze" -> "repro.groute.maze")
     imports: dict[str, str] = field(default_factory=dict)
     #: module-level callable name -> qualname (functions only)
     top_functions: dict[str, str] = field(default_factory=dict)
@@ -350,7 +350,7 @@ class Project:
 
         Pass 1 seeds locals from parameter annotations, ``self``, and
         constructor assignments, and collects ``self.attr`` types.
-        Pass 2 handles cross-object stores (``router.executor = self``)
+        Pass 2 handles cross-object stores (``router.cost_cache = self``)
         once every function's locals are known.  First writer (in
         sorted function order) wins, which keeps the maps deterministic.
         """

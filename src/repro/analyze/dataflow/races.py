@@ -1,9 +1,9 @@
-"""Cross-process race checks for the ``repro.par`` pool (REPRO-X00x).
+"""Cross-process race checks for ``multiprocessing`` code (REPRO-X00x).
 
-The pool's correctness argument (PR 6) is a *discipline*, not a lock:
-workers replicate parent state by replaying an append-only mutation
-log, report results through one queue, and publish liveness through a
-shared ``Array`` slot.  Anything else that crosses the process
+The flow itself is serial.  These checks keep any future process pool
+honest: a pool is only deterministic under a *discipline*, not a lock —
+workers get parent state through their task payloads and report
+results through one queue.  Anything else that crosses the process
 boundary is a silent divergence.  Two interprocedural checks enforce
 the discipline:
 
@@ -19,8 +19,7 @@ the discipline:
 * **REPRO-X003** — each multiprocessing queue endpoint must have a
   single consumer function per process side.  Two functions competing
   on one ``.get()`` endpoint interleave nondeterministically, which is
-  exactly the commit-order hazard the single ``_collect`` stage exists
-  to prevent.
+  exactly the commit-order hazard a single collect stage prevents.
 """
 
 from __future__ import annotations

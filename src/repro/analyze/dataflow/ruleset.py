@@ -59,10 +59,9 @@ DATAFLOW_RULES: tuple[Rule, ...] = (
         id="REPRO-X002",
         severity=Severity.ERROR,
         summary="code reachable from a pool-worker entry point writes "
-        "module-level state outside the mutation-log/shared-Array "
-        "discipline",
+        "module-level state",
         hint="route the write through the task result + parent commit "
-        "stage, or move the state into `WorkerState`; module globals "
+        "stage, or keep the state in a per-worker object; module globals "
         "silently diverge between parent and workers",
     ),
     Rule(

@@ -1,4 +1,4 @@
-"""Per-function taint summaries: the lattice and the abstract executor.
+"""Per-function taint summaries: the lattice and the abstract interpreter.
 
 The determinism taint pass models four taint kinds:
 
@@ -19,11 +19,10 @@ function body: assignments, container element-flow (append/comprehension
   here (the caller decides whether that order is deterministic).
 
 A function's :class:`Summary` records which labels reach its return
-value and which reach a **sink** — route/placement commits, the
-``repro.par`` mutation log, metrics/quality digests, and checkpoint
-payloads.  The fixpoint in :mod:`repro.analyze.dataflow.taint` iterates
-summaries to convergence so taint crosses any number of call
-boundaries in both directions.
+value and which reach a **sink** — route/placement commits,
+metrics/quality digests, and checkpoint payloads.  The fixpoint in
+:mod:`repro.analyze.dataflow.taint` iterates summaries to convergence
+so taint crosses any number of call boundaries in both directions.
 """
 
 from __future__ import annotations
@@ -213,7 +212,7 @@ class FunctionFacts:
     hits: dict = field(default_factory=dict)  # dedupe key -> Hit
 
 
-# ------------------------------------------------- the abstract executor
+# ---------------------------------------------- the abstract interpreter
 
 
 class FunctionAnalysis:

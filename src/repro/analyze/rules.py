@@ -16,7 +16,7 @@ Rule families:
 * ``REPRO-O*`` — observability conventions (span/metric names).
 * ``REPRO-C*`` — classics (mutable defaults, shadowed builtins).
 * ``REPRO-X*`` — cross-process safety (state that silently diverges
-  between the parent and ``repro.par`` pool workers).
+  between a parent process and its pool workers).
 * ``REPRO-R*`` — robustness (durability of on-disk artifacts; a crash
   mid-write must never leave a truncated report or checkpoint behind).
 
@@ -796,7 +796,7 @@ def _is_mutable_module_value(node: ast.expr) -> str | None:
     "REPRO-X001",
     Severity.ERROR,
     "module-level mutable state or RNG in pool-worker code diverges "
-    "between the parent and `repro.par` workers",
+    "between the parent and its workers",
     "pass the state through the task payload / mutation log instead, or "
     "make the binding immutable (tuple/frozenset/constant); RNG streams "
     "must be built per call from an explicit seed",

@@ -251,40 +251,24 @@ class CrpFramework:
             stats.num_candidates = sum(len(c) for c in candidates.values())
 
             with tracer.span("crp.ECC") as sp:
-                executor = self.router.executor
-                if executor is not None:
-                    flat = [
-                        candidate
-                        for cell_candidates in candidates.values()
-                        for candidate in cell_candidates
-                    ]
-                    with tracer.span("par.route", stage="estimate"):
-                        costs = executor.run_estimates(
-                            flat,
-                            config.use_penalty,
-                            use_cache=config.use_fast_ecc,
-                        )
-                    for candidate, cost in zip(flat, costs):
-                        candidate.route_cost = cost
-                else:
-                    cache = None
-                    if config.use_fast_ecc:
-                        from repro.core.fastecc import EccCache
+                cache = None
+                if config.use_fast_ecc:
+                    from repro.core.fastecc import EccCache
 
-                        cache = EccCache()
-                    with self.router.pattern3d.using(
-                        self._estimate_cost_model, self._estimate_field
-                    ):
-                        for cell_candidates in candidates.values():
-                            for candidate in cell_candidates:
-                                candidate.route_cost = estimate_candidate_cost(
-                                    self.design,
-                                    self.router,
-                                    candidate,
-                                    cache=cache,
-                                )
-                    if cache is not None:
-                        cache.publish_metrics()
+                    cache = EccCache()
+                with self.router.pattern3d.using(
+                    self._estimate_cost_model, self._estimate_field
+                ):
+                    for cell_candidates in candidates.values():
+                        for candidate in cell_candidates:
+                            candidate.route_cost = estimate_candidate_cost(
+                                self.design,
+                                self.router,
+                                candidate,
+                                cache=cache,
+                            )
+                if cache is not None:
+                    cache.publish_metrics()
             stats.runtime["ECC"] = sp.wall_s
 
             with tracer.span("crp.ILP") as sp:

@@ -22,9 +22,7 @@ computes it with the same IEEE operations in the same order (the
 vectorized DP applies the scalar recurrence elementwise; ``min`` over
 an axis is a selection, not a reduction-order-dependent sum).  The
 cache holds no routing state of its own, so its lifetime must not span
-a demand or placement mutation — CR&P builds one per iteration, and
-``repro.par`` workers key theirs by dispatch epoch and drop it on any
-mutation-log replay.
+a demand or placement mutation — CR&P builds one per iteration.
 
 Invalidation rule: none within a lifetime, by construction — the ECC
 step is a pure read of the routing state.  Anything that mutates demand

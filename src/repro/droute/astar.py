@@ -146,7 +146,7 @@ def astar_connect(
     # cross-machine (int-tuple hashing ignores PYTHONHASHSEED) and
     # shared byte-for-byte with the indexed kernel; sorting here would
     # change tie order and break parity with the committed digests.
-    for s in sources:  # repro: noqa:REPRO-T002
+    for s in sources:
         g_score[s] = 0.0
         heap.append((heuristic(*s), tie, 0.0, s))
         tie += 1

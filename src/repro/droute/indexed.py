@@ -56,10 +56,9 @@ _INF = float("inf")
 class DrouteIndex:
     """Dense per-node routing state addressed by flat node ids.
 
-    Net-id assignment follows interning order, which is process-local:
-    ids never cross a process boundary (the parallel protocol ships node
-    tuples and net *names*), so replicas may intern in a different order
-    without affecting results.
+    Net-id assignment follows interning order.  Ids never leave the
+    index (results carry node tuples and net *names*), so the order
+    does not affect results.
     """
 
     __slots__ = (

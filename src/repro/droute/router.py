@@ -14,9 +14,8 @@ Two interchangeable state backends carry the per-node routing state:
 
 Per-net work is split into a pure *compute* step (terminal access, guide
 region, pattern/A* searches, min-area patching — no committed-state
-mutation) and a serial *commit* step, so the first pass can run compute
-in `repro.par` workers and commit in canonical net order, byte-identical
-to the serial walk.
+mutation) and a *commit* step that applies the result, in canonical net
+order.
 """
 
 from __future__ import annotations
@@ -70,11 +69,10 @@ class DetailedResult:
 
 @dataclass(slots=True)
 class NetComputation:
-    """The pure compute half of routing one net (picklable).
+    """The pure compute half of routing one net.
 
     Produced by :meth:`DetailedRouter._net_compute` against committed
-    state, applied by :meth:`DetailedRouter._commit_net`; workers ship
-    these back to the parent, which owns every commit.
+    state, applied by :meth:`DetailedRouter._commit_net`.
     """
 
     name: str
@@ -346,65 +344,12 @@ class DetailedRouter:
         self.drc_rounds = drc_rounds
         #: flat-array kernel (default) vs dict oracle (parity baseline)
         self.use_indexed = use_indexed
-        #: a bound :class:`~repro.par.executor.ParallelExecutor`, or None
-        self.executor = None
-        self._state: _DictState | _IndexedState | None = None
-        self._session_guides: dict[str, list[GuideRect]] | None = None
-        self._stats = SearchStats()
-
-    @property
-    def ctor_args(self) -> dict:
-        """Constructor kwargs a worker needs to rebuild this router."""
-        return {
-            "params": self.params,
-            "guide_margin_tracks": self.guide_margin,
-            "drc_rounds": self.drc_rounds,
-            "use_indexed": self.use_indexed,
-        }
 
     # ------------------------------------------------------------------ API
 
-    def begin_session(
-        self, guides: dict[str, list[GuideRect]] | None
-    ) -> "_DictState | _IndexedState":
-        """Build the per-run routing state (obstacle map + occupancy).
-
-        Split out of :meth:`route_all` so worker replicas can mirror the
-        parent's session: the parent's ``"ds"`` log entry triggers this
-        on the replica, after which ``"dn"`` entries replay first-pass
-        commits in parent order.
-        """
-        state = _IndexedState(self) if self.use_indexed else _DictState(self)
-        self._state = state
-        self._session_guides = guides
-        self._stats = SearchStats()
-        return state
-
-    def replay_commit(self, name: str, used) -> None:
-        """Replay one committed net on a replica (a ``"dn"`` log entry)."""
-        state = self._state
-        state.commit_used(name, used)
-        state.release_reservations(name, set(used))
-
-    def compute_net(self, net_name: str) -> NetComputation:
-        """Compute one net against the session state (worker entry point).
-
-        Pure with respect to committed state; the caller owns the
-        commit.  Search counters flush immediately so worker-side
-        metrics ship through the obs payload.
-        """
-        net = self.design.nets[net_name]
-        guides = self._session_guides
-        stats = SearchStats()
-        try:
-            return self._net_compute(
-                net,
-                guides.get(net_name) if guides is not None else None,
-                self._state,
-                stats,
-            )
-        finally:
-            stats.flush()
+    def begin_session(self) -> "_DictState | _IndexedState":
+        """Build the per-run routing state (obstacle map + occupancy)."""
+        return _IndexedState(self) if self.use_indexed else _DictState(self)
 
     def route_all(
         self, guides: dict[str, list[GuideRect]] | None = None
@@ -413,8 +358,8 @@ class DetailedRouter:
         start = time.perf_counter()
         tracer = get_tracer()
         with tracer.span("droute.obstacles"):
-            state = self.begin_session(guides)
-        stats = self._stats
+            state = self.begin_session()
+        stats = SearchStats()
         # Round bookkeeping outside the A* inner loop.
         conflicts: dict[LNode, tuple[str, str]] = {}  # repro: noqa:REPRO-P001
         net_nodes: dict[str, set[LNode]] = {}
@@ -422,39 +367,28 @@ class DetailedRouter:
         result = DetailedResult()
         patch_counts: dict[str, int] = {}
 
-        executor = self.executor
-        use_executor = executor is not None and executor.router is not None
-
         with tracer.span("droute.first_pass"):
             order = sorted(
                 self.design.nets.values(),
                 key=lambda n: (self.design.net_hpwl(n), n.name),
             )
-            if use_executor:
-                executor.note_droute_start(self, guides)
-                self._first_pass_batched(
-                    order, guides, state, stats, executor,
-                    conflicts, net_nodes, pin_nodes, patch_counts, result,
+            for net in order:
+                check_deadline("droute.net")
+                comp = self._net_compute(
+                    net,
+                    guides.get(net.name) if guides is not None else None,
+                    state,
+                    stats,
                 )
-            else:
-                for net in order:
-                    check_deadline("droute.net")
-                    comp = self._net_compute(
-                        net,
-                        guides.get(net.name) if guides is not None else None,
-                        state,
-                        stats,
-                    )
-                    self._commit_net(
-                        comp, state, conflicts, net_nodes, pin_nodes,
-                        patch_counts, result,
-                    )
+                self._commit_net(
+                    comp, state, conflicts, net_nodes, pin_nodes,
+                    patch_counts, result,
+                )
 
         # Conflict-driven rip-up-and-reroute: every net involved in a
         # short is ripped (both aggressor and victim) and rerouted with a
         # clean slate — the detailed-routing analogue of the global
-        # router's RRR passes.  Always serial: rip-ups are not replayed
-        # to worker replicas (a later session rebuilds them from scratch).
+        # router's RRR passes.
         for round_index in range(self.drc_rounds):
             ripped: set[str] = set()
             for net_a, net_b in conflicts.values():
@@ -599,7 +533,7 @@ class DetailedRouter:
         patch_counts: dict[str, int],
         result: DetailedResult,
     ) -> None:
-        """Apply one computed net to committed state (always serial)."""
+        """Apply one computed net to committed state."""
         name = comp.name
         # Resolve conflict holders against live committed state *before*
         # this net's own occupancy lands; nothing mutates between a net's
@@ -624,117 +558,6 @@ class DetailedRouter:
         patch_counts[name] = comp.patch_count
         result.paths[name] = comp.paths
         get_metrics().count("droute.nets_routed")
-
-    # ----------------------------------------------------- batched first pass
-
-    def _patch_margin(self) -> int:
-        """Worst-case tracks a min-area patch can grow past search bounds."""
-        lattice = self.lattice
-        pitch = lattice.pitch
-        margin = 0
-        for tech_layer in lattice.tech.layers:
-            if tech_layer.min_area <= 0:
-                continue
-            min_nodes = 1 + max(
-                0,
-                -(-(tech_layer.min_area - tech_layer.width**2)
-                  // (pitch * tech_layer.width)),
-            )
-            margin = max(margin, min_nodes)
-        return margin
-
-    def _net_region(
-        self, net: Net, net_guides: list[GuideRect] | None, expand: int
-    ) -> tuple[int, int, int, int]:
-        """2D track-index rect covering everything this net can touch.
-
-        The search bounds from :func:`_guide_spans`, expanded by the
-        patch-growth margin: compute never reads or writes outside this
-        rect, which is what makes disjoint-region batches byte-identical
-        to the serial walk.
-        """
-        lattice = self.lattice
-        terminal_access = [
-            access_nodes(self.design, lattice, pin) for pin in net.pins
-        ]
-        _, bounds = _guide_spans(
-            lattice, self.guide_margin, net_guides, terminal_access
-        )
-        ix0, iy0, ix1, iy1 = bounds
-        return (
-            max(0, ix0 - expand),
-            max(0, iy0 - expand),
-            min(lattice.nx - 1, ix1 + expand),
-            min(lattice.ny - 1, iy1 + expand),
-        )
-
-    def _first_pass_batched(
-        self,
-        order: list[Net],
-        guides: dict[str, list[GuideRect]] | None,
-        state: "_DictState | _IndexedState",
-        stats: SearchStats,
-        executor,
-        conflicts: dict[LNode, tuple[str, str]],
-        net_nodes: dict[str, set[LNode]],
-        pin_nodes: dict[str, set[LNode]],
-        patch_counts: dict[str, int],
-        result: DetailedResult,
-    ) -> None:
-        """Batched first pass: partition, compute in workers, commit in order.
-
-        Mirrors the global router's ``_commit_batch`` discipline: results
-        land in canonical (serial) net order, and a net whose computed
-        nodes touch a track position already dirtied by an earlier commit
-        of the same batch — structurally impossible for disjoint regions,
-        so this guards doctored results and worker deadlines — is
-        recomputed serially against live state (``par.conflicts``).
-        """
-        from repro.par.partition import ParTask, partition
-
-        lattice = self.lattice
-        expand = self._patch_margin() + 1
-        tasks = []
-        for index, net in enumerate(order):
-            net_guides = guides.get(net.name) if guides is not None else None
-            tasks.append(
-                ParTask(net.name, index, self._net_region(net, net_guides, expand))
-            )
-        batches = partition(tasks, lattice.nx, lattice.ny)
-        metrics = get_metrics()
-        with get_tracer().span("par.droute", batches=len(batches)):
-            for batch in batches:
-                check_deadline("par.batch")
-                metrics.count("par.batches")
-                results = executor.run_droute_batch(
-                    [task.name for task in batch]
-                )
-                dirty: set[tuple[int, int]] = set()
-                for task in batch:
-                    comp = results.get(task.name)
-                    conflict = False
-                    if comp is not None and dirty:
-                        for node in comp.used:
-                            if (node[1], node[2]) in dirty:
-                                conflict = True
-                                break
-                    if comp is None or conflict:
-                        if conflict:
-                            metrics.count("par.conflicts")
-                        check_deadline("droute.net")
-                        comp = self._net_compute(
-                            self.design.nets[task.name],
-                            guides.get(task.name) if guides is not None else None,
-                            state,
-                            stats,
-                        )
-                    self._commit_net(
-                        comp, state, conflicts, net_nodes, pin_nodes,
-                        patch_counts, result,
-                    )
-                    executor.note_droute_commit(comp.name, comp.used)
-                    for node in comp.used:
-                        dirty.add((node[1], node[2]))
 
     # ------------------------------------------------------------- patching
 

@@ -133,15 +133,15 @@ class MetricsRegistry:
                 },
             }
 
-    # ----------------------------------------------------- cross-process
+    # ------------------------------------------------------- save/restore
 
     def raw(self) -> dict[str, dict[str, object]]:
         """Mergeable (picklable) view: counters, gauges, histogram samples.
 
         Unlike :meth:`snapshot`, histograms are exported as their raw
         reservoir samples so another registry can re-``observe()`` them
-        without distorting percentiles.  This is how worker processes
-        ship their metrics back to the parent (``repro.par``).
+        without distorting percentiles.  This is how a checkpoint saves
+        the metrics of a run so a resumed run can restore them.
         """
         with self._lock:
             return {
@@ -158,7 +158,7 @@ class MetricsRegistry:
 
         Counters add, gauges take the incoming value, histogram samples
         are re-observed.  Deterministic given a deterministic merge
-        order (the parallel executor merges task results in task order).
+        order.
         """
         for name, value in raw.get("counters", {}).items():
             self.count(name, value)

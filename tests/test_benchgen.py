@@ -125,7 +125,7 @@ def test_same_spec_generates_identical_def_bytes():
 
     Every generator path derives from the single seeded stream built by
     ``DesignSpec.rng()``, so regenerating a spec must reproduce the DEF
-    byte-for-byte — the property ``repro.par`` spawn workers rely on.
+    byte-for-byte, in any process.
     """
     from repro.lefdef.def_parser import write_def
 

@@ -150,4 +150,3 @@ def test_parity_dense_conflicts(tech45):
 def test_indexed_is_default():
     design = fresh_small()
     assert DetailedRouter(design).use_indexed is True
-    assert DetailedRouter(design).ctor_args["use_indexed"] is True

@@ -3,7 +3,7 @@
 Every optimization behind ``CrpConfig.use_fast_ecc`` must be a pure
 speedup: the cached/incremental paths are asserted *equal* — not
 approximately equal — to the full-recompute oracles they replace, over
-randomized designs, mutation sequences, and executor widths.
+randomized designs and mutation sequences.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.groute import GlobalRouter
 from repro.groute.costcache import NetCostCache
 from repro.guard import GuardPolicy, IterationTransaction
 from repro.legalizer import WindowLegalizer
-from repro.par import ParallelExecutor
 
 
 def routed(seed: int = 42, **overrides) -> tuple:
@@ -240,35 +239,18 @@ def test_window_memo_hits_are_deterministic():
 # --------------------------------------------------- end-to-end iteration
 
 
-def run_iterations(seed: int, fast: bool, workers: int = 0, k: int = 2):
+def run_iterations(seed: int, fast: bool, k: int = 2):
     design = fresh_small(seed=seed)
     router = GlobalRouter(design)
-    executor = None
-    if workers:
-        executor = ParallelExecutor(workers, chunk=1).bind(router)
-    try:
-        router.route_all(rrr_passes=2)
-        framework = CrpFramework(
-            design, router, CrpConfig(use_fast_ecc=fast)
-        )
-        framework.run(iterations=k)
-        total = framework._total_route_cost()
-    finally:
-        if executor is not None:
-            executor.close()
-    return snapshot(design, router), total
+    router.route_all(rrr_passes=2)
+    framework = CrpFramework(design, router, CrpConfig(use_fast_ecc=fast))
+    framework.run(iterations=k)
+    return snapshot(design, router), framework._total_route_cost()
 
 
 @pytest.mark.parametrize("seed", [9, 42])
 def test_framework_fast_slow_parity(seed):
     assert run_iterations(seed, fast=True) == run_iterations(seed, fast=False)
-
-
-def test_framework_parity_across_workers():
-    reference = run_iterations(42, fast=False)
-    for fast in (True, False):
-        for workers in (1, 2):
-            assert run_iterations(42, fast=fast, workers=workers) == reference
 
 
 def test_converged_parity_and_single_scan_per_pass():

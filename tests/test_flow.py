@@ -75,3 +75,24 @@ def test_flow_crp_improves_or_matches_baseline_gr():
     base_score = 0.5 * base.gr_wirelength_dbu / 200 + 2.0 * base.gr_vias
     crp_score = 0.5 * crp.gr_wirelength_dbu / 200 + 2.0 * crp.gr_vias
     assert crp_score <= base_score * 1.02
+
+
+def test_flow_golden_output_ispd18_test1_crp_k1():
+    """Pin the serial flow's output, not just parity between two paths.
+
+    The digests and quality figures below are the flow's reference
+    output; any change to the GR, CR&P or DR code that moves a route, a
+    cell or a quality number fails here.
+    """
+    from repro.benchgen import make_design
+
+    result = run_flow(make_design("ispd18_test1"), mode="crp", crp_iterations=1)
+    assert result.routes_digest == (
+        "41b4d8b64c8d13efc23b6b6d22879c2d6c0787ed1db65ff2ac4157c47293d598"
+    )
+    assert result.placement_digest == (
+        "ea0acc3c13cf8e8fd8b94a2f8e812b6177f791e6bd53ac2786c2bc9ce8ea0602"
+    )
+    quality = result.quality
+    assert (quality.wirelength_dbu, quality.vias, quality.drvs) == (242200, 201, 0)
+    assert quality.score == 1007.5
