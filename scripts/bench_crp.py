@@ -3,10 +3,10 @@
 
 Times one ``crp_iteration`` (the full five-step CR&P loop) on two
 generated benchmarks (fixed seeds from ``repro.benchgen.SUITE``) in
-both kernel modes: ``slow`` (``CrpConfig.use_fast_ecc=False``, the
-full-recompute oracle) and ``fast`` (the incremental kernel: ECC
-pricing cache, O(dirty-nets) cost accounting, window-ILP memo +
-specialized exact window solver).  Runs are interleaved fast/slow so
+both kernel modes: ``slow`` (``FullRecomputeCrp`` from
+``tests/oracles/crp.py``, the full-recompute oracle) and ``fast`` (the
+production :class:`CrpFramework`: ECC pricing cache, O(dirty-nets)
+cost accounting, window-ILP memo + specialized exact window solver).  Runs are interleaved fast/slow so
 machine noise hits both modes alike; the reported time is the median.
 
 Every run asserts the two modes are *byte-identical*: SHA-256 digests
@@ -40,7 +40,9 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 import scipy.optimize  # noqa: F401,E402 — hoist the one-time solver import out of timed regions
 
@@ -49,6 +51,8 @@ from repro.ckpt import atomic_write  # noqa: E402
 from repro.core import CrpFramework  # noqa: E402
 from repro.core.config import CrpConfig  # noqa: E402
 from repro.groute import GlobalRouter  # noqa: E402
+
+from oracles.crp import FullRecomputeCrp  # noqa: E402
 
 SCHEMA = "repro.crp/bench-1"
 BENCHES = ("ispd18_test1", "ispd18_test5")
@@ -71,7 +75,8 @@ def run_once(bench: str, fast: bool) -> tuple[float, dict]:
     design = make_design(bench)
     router = GlobalRouter(design)
     router.route_all(rrr_passes=RRR_PASSES)
-    framework = CrpFramework(design, router, CrpConfig(use_fast_ecc=fast))
+    framework_class = CrpFramework if fast else FullRecomputeCrp
+    framework = framework_class(design, router, CrpConfig())
     t0 = time.perf_counter()
     framework.run_iteration(0)
     seconds = time.perf_counter() - t0
@@ -93,7 +98,7 @@ def run_once(bench: str, fast: bool) -> tuple[float, dict]:
                 "wirelength_dbu": router.total_wirelength_dbu(),
                 "vias": router.total_vias(),
                 "overflow": router.total_overflow(),
-                "total_route_cost": framework._total_route_cost(),
+                "total_route_cost": router.total_route_cost(),
             }
         ),
     }

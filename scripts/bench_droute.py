@@ -3,10 +3,10 @@
 
 Times the full detailed-routing pass (first pass + conflict rounds +
 DRC) on generated benchmarks with both backends — the dict-of-tuples
-oracle (``use_indexed=False``) and the flat indexed kernel
-(``use_indexed=True``, the production default) — best of three
-interleaved runs over one shared set of global-routing guides per
-design.  Like ``timeit``, the *minimum* is reported per backend: the
+oracle (``DictDetailedRouter`` from ``tests/oracles/droute.py``) and
+the flat indexed kernel (the production :class:`DetailedRouter`) —
+best of three interleaved runs over one shared set of global-routing
+guides per design.  Like ``timeit``, the *minimum* is reported per backend: the
 kernel's work is deterministic, so the fastest run is the one least
 disturbed by scheduler interference, and the min is far more stable
 than the median on busy single-core runners.
@@ -40,12 +40,16 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from repro.benchgen import make_design  # noqa: E402
 from repro.ckpt import atomic_write  # noqa: E402
 from repro.droute import DetailedRouter  # noqa: E402
 from repro.groute import GlobalRouter  # noqa: E402
+
+from oracles.droute import DictDetailedRouter  # noqa: E402
 
 SCHEMA = "repro.droute/bench-1"
 BENCHES = ("ispd18_test1", "ispd18_test5")
@@ -81,7 +85,10 @@ def bench_design(bench: str) -> dict:
     qualities: dict[str, dict] = {}
     for _ in range(RUNS):
         for mode in MODES:
-            detailed = DetailedRouter(design, use_indexed=(mode == "indexed"))
+            router_class = (
+                DetailedRouter if mode == "indexed" else DictDetailedRouter
+            )
+            detailed = router_class(design)
             t0 = time.perf_counter()
             result = detailed.route_all(guides)
             samples[mode].append(time.perf_counter() - t0)

@@ -4,8 +4,11 @@
 Times the four hot flow stages — initial ``route_all``, the RRR passes,
 one CR&P iteration, and detailed routing — on two generated benchmarks
 (fixed seeds from ``repro.benchgen.SUITE``), median of three runs, in
-both cost modes: ``scalar`` (the reference ``CostModel`` oracle) and
-``field`` (the dense :class:`repro.grid.field.CostField` kernel).
+both cost modes: ``scalar`` (``ScalarGlobalRouter`` from
+``tests/oracles/groute.py``, which prices every edge through the
+reference ``CostModel``) and ``field`` (the production
+:class:`GlobalRouter` on the dense :class:`repro.grid.field.CostField`
+kernel).
 
 Every run asserts that the two modes produce *byte-identical* flow
 quality (GR wirelength / vias / overflow and DR wirelength / vias /
@@ -32,7 +35,9 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from repro.benchgen import make_design  # noqa: E402
 from repro.ckpt import atomic_write  # noqa: E402
@@ -40,6 +45,8 @@ from repro.core import CrpFramework  # noqa: E402
 from repro.droute import DetailedRouter  # noqa: E402
 from repro.evalmetrics import evaluate  # noqa: E402
 from repro.groute import GlobalRouter  # noqa: E402
+
+from oracles.groute import ScalarGlobalRouter  # noqa: E402
 
 SCHEMA = "repro.perf/bench-1"
 BENCHES = ("ispd18_test1", "ispd18_test5")
@@ -57,7 +64,8 @@ def run_once(bench: str, use_cost_field: bool) -> tuple[dict, dict]:
     times: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    router = GlobalRouter(design, use_cost_field=use_cost_field)
+    router_class = GlobalRouter if use_cost_field else ScalarGlobalRouter
+    router = router_class(design)
     router.route_all(rrr_passes=0)
     times["route_all"] = time.perf_counter() - t0
 

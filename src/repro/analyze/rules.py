@@ -668,8 +668,8 @@ def _node_keyed_container(annotation: ast.expr) -> bool:
     "(`wire_cost_maps()`, `run_cost()`, `path_cost()`) instead of scalar "
     "`edge_cost` calls per edge, and key detailed-routing search state "
     "by flat `repro.droute.indexed.DrouteIndex` node ids instead of "
-    "dict-of-tuple node maps; keep the scalar/dict oracles only as "
-    "explicit fallbacks",
+    "dict-of-tuple node maps; scalar/dict reference implementations "
+    "belong in `tests/oracles/`",
     path_scope=("/groute/", "/droute/"),
 )
 def _check_scalar_cost_loops(ctx: ModuleContext):

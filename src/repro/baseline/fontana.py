@@ -23,13 +23,14 @@ from dataclasses import dataclass, field
 
 from repro.geom import Orientation
 from repro.db import Design
-from repro.grid import CostField, CostModel, CostParams
+from repro.grid import CostField, CostParams
 from repro.groute import GlobalRouter
 from repro.ilp import IlpModel, Sense, solve
 from repro.legalizer import WindowLegalizer
 from repro.legalizer.median import median_position
 from repro.core.candidates import MoveCandidate
 from repro.core.estimate import estimate_candidate_cost
+from repro.core.fastecc import EccCache
 from repro.core.select import _add_conflict_constraints
 from repro.core.update import apply_moves
 
@@ -68,20 +69,13 @@ class FontanaBaseline:
         self.router = router
         self.backend = backend
         self.time_budget_s = time_budget_s
-        # Congestion-blind pricing: same graph, penalty disabled.  The
-        # matching flat CostField rides along so a field-equipped router
-        # keeps its fast path (and never prices with penalty-on maps).
+        # Congestion-blind pricing: same graph, penalty disabled.
         flat_params = CostParams(
-            wire_weight=router.cost.params.wire_weight,
-            via_weight=router.cost.params.via_weight,
+            wire_weight=router.field.params.wire_weight,
+            via_weight=router.field.params.via_weight,
             use_penalty=False,
         )
-        self._flat_cost = CostModel(router.graph, flat_params)
-        self._flat_field = (
-            CostField(router.graph, flat_params)
-            if router.field is not None
-            else None
-        )
+        self._flat_field = CostField(router.graph, flat_params)
 
     def run(self, iterations: int = 1) -> FontanaResult:
         """Run the move-to-median optimization."""
@@ -140,18 +134,16 @@ class FontanaBaseline:
             if len(options) > 1:
                 candidates[name] = options
 
-        swap_router_cost = self.router.cost
-        self.router.cost = self._flat_cost
-        try:
-            with self.router.pattern3d.using(self._flat_cost, self._flat_field):
-                for name, options in candidates.items():
-                    self._check_budget(start)
-                    for candidate in options:
-                        candidate.route_cost = estimate_candidate_cost(
-                            design, self.router, candidate
-                        )
-        finally:
-            self.router.cost = swap_router_cost
+        with self.router.pattern3d.using(self._flat_field):
+            # Pricing is a pure read of the routing state, so one cache
+            # serves every candidate of this iteration.
+            cache = EccCache()
+            for name, options in candidates.items():
+                self._check_budget(start)
+                for candidate in options:
+                    candidate.route_cost = estimate_candidate_cost(
+                        design, self.router, candidate, cache
+                    )
 
         chosen = self._select(candidates)
         update = apply_moves(design, self.router, chosen)

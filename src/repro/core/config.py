@@ -35,12 +35,6 @@ class CrpConfig:
     use_penalty: bool = True
     #: order cells by routed-net cost (False = arbitrary order, like [18])
     prioritize: bool = True
-    #: incremental CR&P iteration kernel: iteration-scoped ECC pricing
-    #: cache, O(dirty-nets) running route-cost accounting, and the
-    #: window-ILP memo + specialized exact solver in the GCP step.
-    #: Bit-identical to the uncached paths by construction; ``False``
-    #: keeps the full-recompute oracle live for the parity suite.
-    use_fast_ecc: bool = True
     #: ILP backend for legalizer and selection
     ilp_backend: str = "auto"
     #: wall-clock budget per ILP solve (None = unbounded); on expiry the

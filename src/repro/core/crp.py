@@ -33,6 +33,7 @@ from repro.groute import GlobalRouter
 from repro.core.candidates import generate_candidates
 from repro.core.config import CrpConfig
 from repro.core.estimate import estimate_candidate_cost
+from repro.core.fastecc import EccCache
 from repro.core.labeling import label_critical_cells
 from repro.core.select import select_moves
 from repro.core.update import UpdateStats, apply_moves
@@ -108,32 +109,22 @@ class CrpFramework:
         self.guard = guard or GuardPolicy()
         self._rng = random.Random(self.config.seed)
         # Incremental accounting is router state (it listens to commit
-        # and rip-up); match it to the config so a use_fast_ecc=False
-        # framework prices through the genuinely-uncached oracle even
-        # on a router a fast framework touched before.
-        router.enable_incremental_cost(self.config.use_fast_ecc)
+        # and rip-up): CR&P's labeling, guard and convergence loop query
+        # route costs every iteration, so the O(dirty-nets) cache pays.
+        router.enable_incremental_cost()
         # Ablation support: estimate candidate costs congestion-blind
         # (use_penalty=False) while the router itself keeps its model.
-        # The cost field must be swapped together with the scalar model,
-        # otherwise a field-equipped pattern router would keep pricing
-        # with the penalty-on maps.
-        self._estimate_cost_model = router.cost
         self._estimate_field = router.field
         if not self.config.use_penalty:
-            from repro.grid import CostField, CostModel, CostParams
+            from repro.grid import CostField, CostParams
 
             params = CostParams(
-                wire_weight=router.cost.params.wire_weight,
-                via_weight=router.cost.params.via_weight,
-                slope=router.cost.params.slope,
+                wire_weight=router.field.params.wire_weight,
+                via_weight=router.field.params.via_weight,
+                slope=router.field.params.slope,
                 use_penalty=False,
             )
-            self._estimate_cost_model = CostModel(router.graph, params)
-            self._estimate_field = (
-                CostField(router.graph, params)
-                if router.field is not None
-                else None
-            )
+            self._estimate_field = CostField(router.graph, params)
 
     def run(
         self,
@@ -193,14 +184,14 @@ class CrpFramework:
         # One total per pass: the post-iteration total doubles as the
         # next iteration's guard pre-cost (nothing mutates in between),
         # so each pass pays a single scan instead of two.
-        previous = self._total_route_cost()
+        previous = self.router.total_route_cost()
         for k in range(max_iterations):
             try:
                 result.iterations.append(self.run_iteration(k, pre_cost=previous))
             except DeadlineExceeded:
                 get_metrics().count("crp.deadline_stops")
                 break
-            current = self._total_route_cost()
+            current = self.router.total_route_cost()
             gain = (previous - current) / previous if previous > 0 else 0.0
             previous = current
             if gain < min_gain:
@@ -210,15 +201,6 @@ class CrpFramework:
             else:
                 stale = 0
         return result
-
-    def _total_route_cost(self) -> float:
-        # Canonical-order re-sum keeps the total bit-identical to the
-        # uncached scan; with the NetCostCache on, only dirty nets pay
-        # a fresh path_cost walk.
-        return sum(
-            self.router.net_cost(name)
-            for name in self.design.nets  # repro: noqa:REPRO-P002 — canonical-order re-sum over O(dirty) cached per-net values; the scan itself is the deliverable
-        )
 
     def run_iteration(
         self, index: int = 0, pre_cost: float | None = None
@@ -233,7 +215,9 @@ class CrpFramework:
         config = self.config
         if pre_cost is None:
             pre_cost = (
-                self._total_route_cost() if self.guard.transactional else 0.0
+                self.router.total_route_cost()
+                if self.guard.transactional
+                else 0.0
             )
         with ensure_tracer() as tracer, tracer.span(
             "crp.iteration", k=index
@@ -251,24 +235,17 @@ class CrpFramework:
             stats.num_candidates = sum(len(c) for c in candidates.values())
 
             with tracer.span("crp.ECC") as sp:
-                cache = None
-                if config.use_fast_ecc:
-                    from repro.core.fastecc import EccCache
-
-                    cache = EccCache()
-                with self.router.pattern3d.using(
-                    self._estimate_cost_model, self._estimate_field
-                ):
+                cache = EccCache()
+                with self.router.pattern3d.using(self._estimate_field):
                     for cell_candidates in candidates.values():
                         for candidate in cell_candidates:
                             candidate.route_cost = estimate_candidate_cost(
                                 self.design,
                                 self.router,
                                 candidate,
-                                cache=cache,
+                                cache,
                             )
-                if cache is not None:
-                    cache.publish_metrics()
+                cache.publish_metrics()
             stats.runtime["ECC"] = sp.wall_s
 
             with tracer.span("crp.ILP") as sp:

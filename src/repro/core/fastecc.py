@@ -16,11 +16,12 @@ iteration:
   priced once, through a batched numpy DP whose every float64 operation
   mirrors :meth:`PatternRouter3D.route_cost` operation-for-operation.
 
-Bit-parity contract: a cache hit returns the exact float the uncached
-:func:`repro.core.estimate.estimate_net_cost` would compute, and a miss
-computes it with the same IEEE operations in the same order (the
-vectorized DP applies the scalar recurrence elementwise; ``min`` over
-an axis is a selection, not a reduction-order-dependent sum).  The
+This is the only ECC pricing path.  Bit-parity contract: a cache hit
+returns the exact float the uncached reference estimator
+(``tests/oracles/crp.py``) would compute, and a miss computes it with
+the same IEEE operations in the same order (the vectorized DP applies
+the scalar recurrence elementwise; ``min`` over an axis is a
+selection, not a reduction-order-dependent sum).  The
 cache holds no routing state of its own, so its lifetime must not span
 a demand or placement mutation — CR&P builds one per iteration.
 
@@ -71,7 +72,7 @@ class EccCache:
         net: Net,
         overrides: dict[str, tuple[int, int, Orientation]],
     ) -> float:
-        """Cached twin of :func:`repro.core.estimate.estimate_net_cost`."""
+        """Virtual FLUTE + 3D-pattern-route cost of one net (uncommitted)."""
         terminals = self._terminals(design, router, net, overrides)
         if len(terminals) < 2:
             return 0.0
@@ -182,26 +183,15 @@ def _price_segment(
 ) -> float | None:
     """Best ``route_cost`` over the pattern paths of one segment.
 
-    With a cost field attached, all runs of all candidate paths are
-    gathered into one :meth:`CostField.run_cost_batch` call per
-    direction and the layer-assignment DP runs vectorized over layers;
-    without a field it defers to the scalar oracle path.  Either way
-    the returned float is bit-identical to the per-path
-    ``route_cost``/strict-``<`` scan of the uncached estimator.
+    All runs of all candidate paths are gathered into one
+    :meth:`CostField.run_cost_batch` call per direction and the layer-
+    assignment DP runs vectorized over layers; the returned float is
+    bit-identical to the per-path ``route_cost``/strict-``<`` scan of
+    the uncached estimator.
     """
     field = p3d.field
-    if field is None:
-        best = None
-        for path in pattern_paths_2d(a, b):
-            cost = p3d.route_cost(path, src_layer, dst_layer)
-            if cost is None:
-                continue
-            if best is None or cost < best:
-                best = cost
-        return best
-
     field.ensure()
-    via_w = p3d.cost.params.via_weight
+    via_w = field.params.via_weight
     paths = pattern_paths_2d(a, b)
     runs_by_path = [runs_of_path(path) for path in paths]
 

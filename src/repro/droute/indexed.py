@@ -6,7 +6,8 @@ small ints (``FREE = 0``, ``BLOCKED_ID = 1``, nets from 2).  All per-node
 state — ownership, wire occupancy, ``g_score``/``came_from``, target and
 guide membership — lives in dense arrays indexed by nid instead of
 dict-of-tuple maps, which removes the tuple hashing and boxing that
-dominates the dict-based oracle (:func:`repro.droute.astar.astar_connect`).
+dominated the dict-based A* this kernel replaced (kept as the parity
+reference in ``tests/oracles/droute.py``).
 
 Per-search state costs O(expanded), not O(lattice): ``g_score`` defaults
 to ``inf`` and every slot written during a search is recorded in a local
@@ -26,12 +27,11 @@ per access) and float64 boxing would also poison the priority-queue
 float comparisons with mixed-type elements.
 
 Parity contract: :func:`astar_connect_indexed` is expansion-order-
-identical to the oracle — same seed order (it iterates the caller's own
-source/target sets), same FIFO tie-breaking within equal f values as the
-oracle's tie counter, same float expressions for the heuristic and step
-costs, same hard/soft conflict semantics — so paths, costs and conflict
-lists are byte-identical.  ``DetailedRouter(
-use_indexed=False)`` keeps the oracle live for the parity suite.
+identical to the dict reference — same seed order (it iterates the
+caller's own source/target sets), same FIFO tie-breaking within equal f
+values as the reference's tie counter, same float expressions for the
+heuristic and step costs, same hard/soft conflict semantics — so paths,
+costs and conflict lists are byte-identical.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ def astar_connect_indexed(
     soft: bool,
     stats: SearchStats | None = None,
 ) -> SearchResult | None:
-    """Indexed twin of :func:`repro.droute.astar.astar_connect`.
+    """Cheapest lattice path from ``sources`` to ``targets``.
 
     The open set is a *bucket queue*: a dict of per-f FIFO deques of
     ``(g, nid)`` pairs plus a small binary heap over the distinct f

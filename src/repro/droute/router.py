@@ -4,13 +4,10 @@ Consumes a design plus per-net route guides (from the global router) and
 produces exact routed geometry on the track lattice with the ISPD-2018
 quality numbers: wirelength, via count, and DRVs.
 
-Two interchangeable state backends carry the per-node routing state:
-
-* the **indexed** backend (default) — flat arrays addressed by node id,
-  see :mod:`repro.droute.indexed`;
-* the **dict oracle** (``use_indexed=False``) — the original
-  dict-of-tuple maps, kept live for bit-exact parity testing, the same
-  discipline the grid cost field uses for its scalar oracle.
+The per-node routing state lives in flat arrays addressed by node id
+(:mod:`repro.droute.indexed`).  The dict-of-tuples state and A* it
+replaced are kept as the bit-exact parity reference in
+``tests/oracles/droute.py``.
 
 Per-net work is split into a pure *compute* step (terminal access, guide
 region, pattern/A* searches, min-area patching — no committed-state
@@ -26,15 +23,11 @@ from dataclasses import dataclass, field
 
 from repro.db import Design, Net
 from repro.droute.access import access_nodes
-from repro.droute.astar import SearchParams, SearchStats, astar_connect
+from repro.droute.astar import SearchParams, SearchResult, SearchStats
 from repro.droute.drc import DrcKind, DrcViolation, check_min_area, check_shorts
 from repro.droute.indexed import astar_connect_indexed
 from repro.droute.lattice import LNode, TrackLattice
-from repro.droute.obstacles import (
-    BLOCKED,
-    build_obstacle_index,
-    build_obstacle_map,
-)
+from repro.droute.obstacles import BLOCKED, build_obstacle_index
 from repro.guard.deadline import check_deadline
 from repro.lefdef.guides import GuideRect
 from repro.obs import get_metrics, get_tracer
@@ -95,9 +88,9 @@ def _guide_spans(
 ):
     """Per-layer guide spans + search bounds for one net (pure math).
 
-    Shared by both backends so their bounds — and therefore their
-    searches — are identical; only the membership *representation*
-    (tuple set vs stamped array rows) differs.
+    Shared with the dict-state reference in ``tests/oracles/droute.py``
+    so both search identical bounds; only the membership
+    *representation* (tuple set vs stamped array rows) differs.
     """
     all_nodes = [n for nodes in terminal_access for n in nodes]
     ix_vals = [n[1] for n in all_nodes]
@@ -134,102 +127,8 @@ def _guide_spans(
     return per_layer, (g_ix0, g_iy0, g_ix1, g_iy1)
 
 
-class _DictState:
-    """Dict-of-tuples oracle backend (``use_indexed=False``).
-
-    Kept verbatim from the pre-indexed router for parity testing; the
-    hot-path lint (REPRO-P001) is suppressed here by design.
-    """
-
-    indexed = False
-
-    def __init__(self, router: "DetailedRouter") -> None:
-        self.lattice = router.lattice
-        self.params = router.params
-        self.margin = router.guide_margin
-        owner, reservations = build_obstacle_map(router.design, router.lattice)
-        self.owner = owner
-        self.reservations = reservations
-        # Authoritative session occupancy; the indexed kernel keeps
-        # its own dense mirror.
-        self.occupancy: dict[LNode, str] = {}  # repro: noqa:REPRO-P001
-
-    def guide_region(self, net_guides, terminal_access):
-        per_layer, bounds = _guide_spans(
-            self.lattice, self.margin, net_guides, terminal_access
-        )
-        if per_layer is None:
-            return None, bounds
-        guide_nodes: set[LNode] = set()  # repro: noqa:REPRO-P001 — oracle backend keeps the historical set-of-tuples representation
-        for layer, spans in per_layer.items():
-            for ix0, iy0, ix1, iy1 in spans:
-                for ix in range(ix0, ix1 + 1):
-                    for iy in range(iy0, iy1 + 1):
-                        guide_nodes.add((layer, ix, iy))
-        # Terminals and their escape landings are always fair game.
-        for nodes in terminal_access:
-            for layer, ix, iy in nodes:
-                guide_nodes.add((layer, ix, iy))
-                if layer + 1 < self.lattice.tech.num_layers:
-                    guide_nodes.add((layer + 1, ix, iy))
-        return guide_nodes, bounds
-
-    def connect(self, sources, targets, net_name, bounds, guide, soft, stats):
-        return astar_connect(
-            self.lattice,
-            sources,
-            targets,
-            net_name,
-            self.owner,
-            self.occupancy,
-            bounds,
-            guide,
-            self.params,
-            soft=soft,
-            stats=stats,
-        )
-
-    def in_guide(self, guide, node: LNode) -> bool:
-        return guide is None or node in guide
-
-    def free_for(self, node: LNode, net_name: str) -> bool:
-        holder = self.owner.get(node)
-        if holder is not None and holder != net_name:
-            return False
-        holder = self.occupancy.get(node)
-        if holder is not None and holder != net_name:
-            return False
-        return True
-
-    def patch_free(self, node: LNode, net_name: str) -> bool:
-        holder = self.owner.get(node) or self.occupancy.get(node)
-        return holder is None or holder == net_name
-
-    def holder_name(self, node: LNode) -> str | None:
-        return self.owner.get(node) or self.occupancy.get(node)
-
-    def commit_used(self, net_name: str, used_sorted) -> None:
-        occupancy = self.occupancy
-        for node in used_sorted:
-            occupancy.setdefault(node, net_name)
-
-    def release_reservations(self, net_name: str, used: set[LNode]) -> None:
-        owner = self.owner
-        for node in self.reservations.pop(net_name, ()):
-            if node not in used and owner.get(node) == net_name:
-                del owner[node]
-
-    def rip(self, net_name: str, nodes) -> None:
-        occupancy = self.occupancy
-        for node in nodes:
-            if occupancy.get(node) == net_name:
-                del occupancy[node]
-
-
 class _IndexedState:
-    """Flat-array backend over :class:`~repro.droute.indexed.DrouteIndex`."""
-
-    indexed = True
+    """Flat-array routing state over :class:`~repro.droute.indexed.DrouteIndex`."""
 
     def __init__(self, router: "DetailedRouter") -> None:
         self.lattice = router.lattice
@@ -330,7 +229,6 @@ class DetailedRouter:
         params: SearchParams | None = None,
         guide_margin_tracks: int = 2,
         drc_rounds: int = 2,
-        use_indexed: bool = True,
     ) -> None:
         self.design = design
         self.lattice = TrackLattice(design.tech, design.die)
@@ -342,14 +240,12 @@ class DetailedRouter:
         self.guide_margin = guide_margin_tracks
         #: conflict-driven rip-up-and-reroute rounds after the first pass
         self.drc_rounds = drc_rounds
-        #: flat-array kernel (default) vs dict oracle (parity baseline)
-        self.use_indexed = use_indexed
 
     # ------------------------------------------------------------------ API
 
-    def begin_session(self) -> "_DictState | _IndexedState":
+    def begin_session(self) -> _IndexedState:
         """Build the per-run routing state (obstacle map + occupancy)."""
-        return _IndexedState(self) if self.use_indexed else _DictState(self)
+        return _IndexedState(self)
 
     def route_all(
         self, guides: dict[str, list[GuideRect]] | None = None
@@ -464,7 +360,7 @@ class DetailedRouter:
         self,
         net: Net,
         net_guides: list[GuideRect] | None,
-        state: "_DictState | _IndexedState",
+        state: _IndexedState,
         stats: SearchStats,
     ) -> NetComputation:
         """Route one net against committed state without committing."""
@@ -526,7 +422,7 @@ class DetailedRouter:
     def _commit_net(
         self,
         comp: NetComputation,
-        state: "_DictState | _IndexedState",
+        state: _IndexedState,
         conflicts: dict[LNode, tuple[str, str]],
         net_nodes: dict[str, set[LNode]],
         pin_nodes: dict[str, set[LNode]],
@@ -566,7 +462,7 @@ class DetailedRouter:
         net_name: str,
         used: set[LNode],
         pins: set[LNode],
-        state: "_DictState | _IndexedState",
+        state: _IndexedState,
     ) -> int:
         """Grow under-sized metal patches along the preferred direction.
 
@@ -637,9 +533,9 @@ class DetailedRouter:
         net: str,
         sources: set[LNode],
         targets: set[LNode],
-        state: "_DictState | _IndexedState",
+        state: _IndexedState,
         guide,
-    ) -> "SearchResult | None":
+    ) -> SearchResult | None:
         """Try clean L-shaped connections before falling back to A*.
 
         Picks the closest (source, target) pair, then tries both bend
@@ -648,8 +544,6 @@ class DetailedRouter:
         this net and inside the guides — so the result is always one
         the hard A* pass could also have found.
         """
-        from repro.droute.astar import SearchResult
-
         lattice = self.lattice
         if len(sources) * len(targets) <= 64:
             src, dst = min(

@@ -2,7 +2,7 @@
 
 from repro.grid.gcellgrid import GCellGrid
 from repro.grid.graph import EdgeKind, GridEdge, RoutingGraph
-from repro.grid.cost import CostModel, CostParams
+from repro.grid.cost import CostParams
 from repro.grid.field import CostField
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "RoutingGraph",
     "GridEdge",
     "EdgeKind",
-    "CostModel",
     "CostParams",
     "CostField",
 ]

@@ -15,11 +15,14 @@ via-crowding term in Eq. 9.  Rip-up, reroute, and guard-transaction
 rollback all mutate the graph through the same methods, so the field
 can never observe stale demand.
 
+This is the only Eq. 10 kernel: global routing, candidate-cost
+estimation and route-cost accounting all price through it.
+
 Bit-parity contract: every value in the dense maps is computed with the
-same float64 operations, in the same order, as the scalar
-:class:`repro.grid.cost.CostModel` oracle, so ``edge_cost`` lookups and
-``path_cost`` sums are *bit-identical* to the scalar path; only the
-prefix-sum run costs may differ from a left-to-right scalar sum by
+same float64 operations, in the same order, as the scalar reference
+model in ``tests/oracles/cost.py``, so ``edge_cost`` lookups and
+``path_cost`` sums are *bit-identical* to a per-edge scalar walk; only
+the prefix-sum run costs may differ from a left-to-right scalar sum by
 float association (the parity tests pin this to 1e-9).
 """
 
@@ -42,9 +45,10 @@ class CostField:
         self.params = params or CostParams()
         #: flat Eq. 10 cost of any via edge
         self.via_cost = self.params.via_weight
-        self._wire_dist = wire_edge_dists(
-            graph.grid, graph.tech, m2_pitch(graph.tech)
-        )
+        # Normalize wire length to M2-pitch units so wire and via weights
+        # are on the contest's common scale.
+        self.pitch = m2_pitch(graph.tech)
+        self._wire_dist = wire_edge_dists(graph.grid, graph.tech, self.pitch)
         self._horizontal = tuple(
             layer.is_horizontal for layer in graph.tech.layers
         )
@@ -131,9 +135,9 @@ class CostField:
     def _recompute(self, layer: int, lines: list[int] | None) -> None:
         """Rebuild demand/cost/prefix for ``lines`` (``None`` = whole layer).
 
-        Every arithmetic step mirrors :meth:`RoutingGraph.demand` +
-        :meth:`CostModel.edge_cost` operation-for-operation so the dense
-        values are bit-identical to the scalar oracle.
+        Every arithmetic step mirrors :meth:`RoutingGraph.demand` plus
+        the scalar Eq. 10 formula operation-for-operation, so the dense
+        values are bit-identical to a per-edge evaluation.
         """
         graph = self.graph
         cost = self._wire_cost[layer]
@@ -228,14 +232,14 @@ class CostField:
         return self._demand
 
     def edge_cost(self, edge: GridEdge) -> float:
-        """Eq. 10 cost of one edge — bit-identical to the scalar oracle."""
+        """Eq. 10 cost of one edge."""
         if edge.kind is EdgeKind.VIA:
             return self.via_cost
         self.ensure()
         return float(self._wire_cost[edge.layer][edge.gx, edge.gy])
 
     def path_cost(self, edges: list[GridEdge]) -> float:
-        """Total route cost, summed left-to-right like the scalar oracle."""
+        """Total route cost, summed edge by edge from left to right."""
         self.ensure()
         total = 0.0
         via_cost = self.via_cost
@@ -246,6 +250,15 @@ class CostField:
             else:
                 total += float(wire_cost[edge.layer][edge.gx, edge.gy])
         return total
+
+    def lower_bound(
+        self, a: tuple[int, int, int], b: tuple[int, int, int]
+    ) -> float:
+        """Admissible A* heuristic: congestion-free cost from ``a`` to ``b``."""
+        grid = self.graph.grid
+        dist = grid.manhattan_centers((a[1], a[2]), (b[1], b[2])) / self.pitch
+        vias = abs(a[0] - b[0])
+        return self.params.wire_weight * dist + self.params.via_weight * vias
 
     def run_cost(self, layer: int, start: int, end: int, line: int) -> float:
         """Cost of wire edges ``[start, end)`` along ``layer`` on ``line``.

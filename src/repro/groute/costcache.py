@@ -171,7 +171,12 @@ class NetCostCache:
             self.hits += 1
             return value
         self.rescans += 1
-        value = self.router._net_cost_fresh(name)
+        route = self.router.routes.get(name)
+        value = (
+            0.0
+            if route is None
+            else self.router.field.path_cost(sorted(route.edges))
+        )
         self._cost[name] = value
         self._stale.discard(name)
         return value

@@ -5,12 +5,12 @@ used by the rip-up-and-reroute passes.  The search is bounded to the
 bounding box of the terminals plus a margin, which keeps RRR tractable
 on large grids.
 
-With a :class:`repro.grid.field.CostField` attached the inner loop reads
-step costs straight out of the dense per-layer maps and generates
-neighbors inline — no ``GridEdge`` construction, no per-edge ``demand()``
-recomputation.  The dense maps are bit-identical to the scalar oracle
-and neighbors are pushed in the same order, so both paths expand the
-same nodes and return the same route.
+The inner loop reads step costs straight out of the dense per-layer
+:class:`repro.grid.field.CostField` maps and generates neighbors inline
+— no ``GridEdge`` construction, no per-edge ``demand()`` recomputation.
+Neighbors are pushed in :meth:`RoutingGraph.neighbors` order, so the
+search expands the same nodes and returns the same route as the scalar
+per-edge reference A* in ``tests/oracles/groute.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 from itertools import count
 
-from repro.grid import CostField, CostModel, EdgeKind, GridEdge, RoutingGraph
+from repro.grid import CostField, EdgeKind, GridEdge, RoutingGraph
 from repro.guard.deadline import DeadlineTicker
 from repro.guard.faults import fault_point
 from repro.obs import get_metrics
@@ -31,12 +31,11 @@ MAZE_MARGIN = 4
 
 def maze_route(
     graph: RoutingGraph,
-    cost_model: CostModel,
+    field: CostField,
     sources: set[Node],
     targets: set[Node],
     margin: int = MAZE_MARGIN,
     overflow_penalty: float = 0.0,
-    field: CostField | None = None,
 ) -> list[GridEdge] | None:
     """Cheapest path from any source to any target.
 
@@ -52,12 +51,8 @@ def maze_route(
     # "disconnect" forces the no-path result; a "fail" fault raises here.
     if fault_point("groute.maze") is not None:
         return None
-    if field is not None:
-        return _maze_route_field(
-            graph, cost_model, sources, targets, margin, overflow_penalty, field
-        )
-    return _maze_route_scalar(
-        graph, cost_model, sources, targets, margin, overflow_penalty
+    return _maze_route_field(
+        graph, sources, targets, margin, overflow_penalty, field
     )
 
 
@@ -73,70 +68,8 @@ def _window(
     return lo_x, hi_x, lo_y, hi_y
 
 
-def _maze_route_scalar(
-    graph: RoutingGraph,
-    cost_model: CostModel,
-    sources: set[Node],
-    targets: set[Node],
-    margin: int,
-    overflow_penalty: float,
-) -> list[GridEdge] | None:
-    """Reference A* pricing every step through the scalar oracle."""
-    lo_x, hi_x, lo_y, hi_y = _window(graph, sources, targets, margin)
-
-    def in_window(node: Node) -> bool:
-        return lo_x <= node[1] <= hi_x and lo_y <= node[2] <= hi_y
-
-    def heuristic(node: Node) -> float:
-        return min(cost_model.lower_bound(node, t) for t in targets)
-
-    tie = count()
-    open_heap: list[tuple[float, int, Node]] = []
-    g_score: dict[Node, float] = {}
-    came_from: dict[Node, tuple[Node, GridEdge]] = {}
-    for s in sources:
-        g_score[s] = 0.0
-        heapq.heappush(open_heap, (heuristic(s), next(tie), s))
-
-    # Expansions are tallied locally and recorded once on exit so the
-    # inner loop stays metric-free.
-    expansions = 0
-    ticker = DeadlineTicker("groute.maze", stride=64)
-    try:
-        while open_heap:
-            ticker.tick()
-            f, _, node = heapq.heappop(open_heap)
-            g = g_score[node]
-            if f > g + heuristic(node) + 1e-9:
-                continue  # stale entry
-            expansions += 1
-            if node in targets:
-                return _reconstruct(node, came_from)
-            for neighbour, edge in graph.neighbors(node):
-                if not in_window(neighbour):
-                    continue
-                step = cost_model.edge_cost(edge)  # repro: noqa:REPRO-P001
-                if overflow_penalty > 0.0 and edge.kind.value == "wire":
-                    if graph.demand(edge) >= graph.capacity(edge):
-                        step += overflow_penalty
-                tentative = g + step
-                if tentative < g_score.get(neighbour, float("inf")) - 1e-12:
-                    g_score[neighbour] = tentative
-                    came_from[neighbour] = (node, edge)
-                    heapq.heappush(
-                        open_heap,
-                        (tentative + heuristic(neighbour), next(tie), neighbour),
-                    )
-        return None
-    finally:
-        metrics = get_metrics()
-        metrics.count("groute.maze_calls")
-        metrics.observe("groute.maze_expansions", expansions)
-
-
 def _maze_route_field(
     graph: RoutingGraph,
-    cost_model: CostModel,
     sources: set[Node],
     targets: set[Node],
     margin: int,
@@ -147,7 +80,7 @@ def _maze_route_field(
 
     Neighbor order matches :meth:`RoutingGraph.neighbors` (wire forward,
     wire backward, via up, via down) so the heap tie counter — and hence
-    the returned path — is identical to the scalar reference.
+    the returned path — is identical to a per-edge scalar A*.
     """
     lo_x, hi_x, lo_y, hi_y = _window(graph, sources, targets, margin)
     wire_cost = field.wire_cost_maps()  # refreshes the field once
@@ -163,12 +96,11 @@ def _maze_route_field(
     num_layers = graph.num_layers
     min_wire_layer = graph.min_wire_layer
 
-    # The heuristic arithmetic mirrors CostModel.lower_bound operation
-    # for operation, so f-values (and hence pop order) match the scalar
-    # reference; the single-target case just skips the min().
-    wire_w = cost_model.params.wire_weight
-    via_w = cost_model.params.via_weight
-    pitch = cost_model.pitch
+    # The heuristic arithmetic mirrors CostField.lower_bound operation
+    # for operation; the single-target case just skips the min().
+    wire_w = field.params.wire_weight
+    via_w = field.params.via_weight
+    pitch = field.pitch
     step_x, step_y = graph.grid.step_x, graph.grid.step_y
     if len(targets) == 1:
         t_layer, t_gx, t_gy = next(iter(targets))
@@ -182,7 +114,7 @@ def _maze_route_field(
     else:
 
         def heuristic(node: Node) -> float:
-            return min(cost_model.lower_bound(node, t) for t in targets)
+            return min(field.lower_bound(node, t) for t in targets)
 
     tie = count()
     open_heap: list[tuple[float, int, Node]] = []
@@ -268,21 +200,10 @@ def _edge_between(a: Node, b: Node) -> GridEdge:
     return GridEdge(a[0], a[1], min(a[2], b[2]), EdgeKind.WIRE)
 
 
-def _reconstruct(
-    node: Node, came_from: dict[Node, tuple[Node, GridEdge]]
-) -> list[GridEdge]:
-    edges: list[GridEdge] = []
-    while node in came_from:
-        node, edge = came_from[node]
-        edges.append(edge)
-    edges.reverse()
-    return edges
-
-
 def _reconstruct_nodes(
     graph: RoutingGraph, node: Node, came_from: dict[Node, Node]
 ) -> list[GridEdge]:
-    """Rebuild the edge list of the fast path from its node chain."""
+    """Rebuild the edge list of a maze path from its node chain."""
     edges: list[GridEdge] = []
     while node in came_from:
         parent = came_from[node]

@@ -6,10 +6,10 @@ graph edges (wires plus the vias stitching runs and terminals together).
 The DP cost is exactly the Eq. 10 edge cost under the current
 demand/capacity state, so congested layers are avoided.
 
-When a :class:`repro.grid.field.CostField` is attached, each run cost is
-two prefix-sum lookups (O(1) per run) instead of O(len) scalar
-``edge_cost`` calls, and ``route_cost`` prices a candidate without
-materializing any edges — the hot path of CR&P's candidate estimation.
+Prices come from a :class:`repro.grid.field.CostField`: each run cost is
+two prefix-sum lookups (O(1) per run), and ``route_cost`` prices a
+candidate without materializing any edges — the hot path of CR&P's
+candidate estimation.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.grid import CostField, CostModel, EdgeKind, GridEdge, RoutingGraph
+from repro.grid import CostField, EdgeKind, GridEdge, RoutingGraph
 from repro.groute.patterns import GPoint, runs_of_path
 
 
@@ -37,14 +37,12 @@ class PatternRouter3D:
     def __init__(
         self,
         graph: RoutingGraph,
-        cost_model: CostModel,
+        field: CostField,
         min_layer: int = 0,
-        field: CostField | None = None,
     ) -> None:
         self.graph = graph
-        self.cost = cost_model
-        self.min_layer = min_layer
         self.field = field
+        self.min_layer = min_layer
         #: usable layers per run direction (True = horizontal), fixed by
         #: the tech stack so the DP never re-filters them per run
         self._dir_layers: dict[bool, list[int]] = {
@@ -72,8 +70,7 @@ class PatternRouter3D:
         the chosen layer is reported in ``end_layer``.  Returns ``None``
         when some run direction has no usable layer.
         """
-        if self.field is not None:
-            self.field.ensure()
+        self.field.ensure()
         runs = runs_of_path(path)
         if not runs:
             # Both terminals share a GCell: a via stack suffices.
@@ -89,7 +86,7 @@ class PatternRouter3D:
             return None
         run_layers, best, back = dp
 
-        via_w = self.cost.params.via_weight
+        via_w = self.field.params.via_weight
         if dst_layer is None:
             final_layer = min(best, key=lambda layer: best[layer])
         else:
@@ -121,9 +118,8 @@ class PatternRouter3D:
         patterns with no edge lists at all.  Returns ``None`` when some
         run direction has no usable layer.
         """
-        if self.field is not None:
-            self.field.ensure()
-        via_w = self.cost.params.via_weight
+        self.field.ensure()
+        via_w = self.field.params.via_weight
         runs = runs_of_path(path)
         if not runs:
             end = dst_layer if dst_layer is not None else src_layer
@@ -139,22 +135,18 @@ class PatternRouter3D:
         )
 
     @contextmanager
-    def using(
-        self, cost_model: CostModel, field: CostField | None
-    ) -> Iterator["PatternRouter3D"]:
-        """Temporarily price with a different cost model *and* field.
+    def using(self, field: CostField) -> Iterator["PatternRouter3D"]:
+        """Temporarily price with a different cost field.
 
         The ablation paths (penalty-free ECC estimation, the Fontana
-        baseline) must swap both together: swapping only the scalar
-        model would leave a field-equipped router pricing with the old
-        penalty-on maps.
+        baseline) price over the same graph with other cost parameters.
         """
-        prev_cost, prev_field = self.cost, self.field
-        self.cost, self.field = cost_model, field
+        prev_field = self.field
+        self.field = field
         try:
             yield self
         finally:
-            self.cost, self.field = prev_cost, prev_field
+            self.field = prev_field
 
     # -------------------------------------------------------------- helpers
 
@@ -177,7 +169,7 @@ class PatternRouter3D:
                 {layer: self._run_cost(run, layer) for layer in layers}
             )
 
-        via_w = self.cost.params.via_weight
+        via_w = self.field.params.via_weight
         best: dict[int, float] = {}
         back: list[dict[int, int]] = []
         for layer in run_layers[0]:
@@ -205,21 +197,15 @@ class PatternRouter3D:
         return run_layers, best, back
 
     def _path_cost(self, edges: list[GridEdge]) -> float:
-        """Per-edge route cost — bit-identical with and without a field."""
-        if self.field is not None:
-            return self.field.path_cost(edges)
-        return self.cost.path_cost(edges)
+        """Per-edge route cost."""
+        return self.field.path_cost(edges)
 
     def _run_cost(self, run: tuple[GPoint, GPoint], layer: int) -> float:
         (x0, y0), (x1, y1) = run
-        field = self.field
-        if field is not None:
-            # Two prefix lookups; route()/route_cost() ensured freshness.
-            if y0 == y1:
-                return field.run_cost(layer, min(x0, x1), max(x0, x1), y0)
-            return field.run_cost(layer, min(y0, y1), max(y0, y1), x0)
-        # Scalar oracle fallback when no field is attached.
-        return sum(self.cost.edge_cost(e) for e in self._run_edges(run, layer))  # repro: noqa:REPRO-P001
+        # Two prefix lookups; route()/route_cost() ensured freshness.
+        if y0 == y1:
+            return self.field.run_cost(layer, min(x0, x1), max(x0, x1), y0)
+        return self.field.run_cost(layer, min(y0, y1), max(y0, y1), x0)
 
     def _run_edges(self, run: tuple[GPoint, GPoint], layer: int) -> list[GridEdge]:
         (x0, y0), (x1, y1) = run

@@ -20,7 +20,6 @@ from repro.db import Design, Net
 from repro.flute import build_rsmt
 from repro.grid import (
     CostField,
-    CostModel,
     CostParams,
     EdgeKind,
     GCellGrid,
@@ -76,7 +75,6 @@ class GlobalRouter:
         params: CostParams | None = None,
         target_gcells: int = 32,
         beta: float = 1.5,
-        use_cost_field: bool = True,
     ) -> None:
         self.design = design
         #: constructor arguments, so a checkpoint can rebuild an
@@ -85,29 +83,21 @@ class GlobalRouter:
             "params": params,
             "target_gcells": target_gcells,
             "beta": beta,
-            "use_cost_field": use_cost_field,
         }
         self.grid = GCellGrid.for_design(design, target_gcells=target_gcells)
         self.graph = RoutingGraph(self.grid, design.tech, beta=beta)
         self.graph.init_fixed_usage(design)
-        self.cost = CostModel(self.graph, params)
-        #: dense Eq. 9/10 kernel; ``use_cost_field=False`` selects the
-        #: scalar reference path (same results, used by the parity tests)
-        self.field: CostField | None = (
-            CostField(self.graph, self.cost.params) if use_cost_field else None
-        )
+        #: dense Eq. 9/10 kernel every route and cost query prices through
+        self.field = CostField(self.graph, params)
         self.pattern3d = PatternRouter3D(
-            self.graph,
-            self.cost,
-            min_layer=self.graph.min_wire_layer,
-            field=self.field,
+            self.graph, self.field, min_layer=self.graph.min_wire_layer
         )
         self.routes: dict[str, NetRoute] = {}
         # Plain dict (not defaultdict): lookups must never materialize
         # empty entries, or the RRR scan grows monotonically.
         self._edge_nets: dict[GridEdge, set[str]] = {}
-        #: O(dirty-nets) per-net cost cache, or ``None`` for the full-
-        #: rescan oracle; toggled by :meth:`enable_incremental_cost`
+        #: O(dirty-nets) per-net cost cache, attached by
+        #: :meth:`enable_incremental_cost` (CR&P); ``None`` prices afresh
         self.cost_cache = None
 
     # ------------------------------------------------------------ terminals
@@ -146,8 +136,7 @@ class GlobalRouter:
                 check_deadline("groute.initial")
                 self.route_net(net.name)
         self.improve(rrr_passes)
-        if self.field is not None:
-            self.field.publish_metrics()
+        self.field.publish_metrics()
 
     def improve(self, rrr_passes: int = 3) -> int:
         """Run up to ``rrr_passes`` RRR passes; returns passes completed.
@@ -166,8 +155,7 @@ class GlobalRouter:
                     completed += 1
             except DeadlineExceeded:
                 get_metrics().count("groute.rrr_deadline_stops")
-        if self.field is not None:
-            self.field.publish_metrics()
+        self.field.publish_metrics()
         return completed
 
     def route_net(self, net_name: str) -> NetRoute:
@@ -286,31 +274,19 @@ class GlobalRouter:
     def _rrr_pass(self, max_nets: int = 200) -> bool:
         """One rip-up-and-reroute pass; True when it changed anything.
 
-        With a cost field the overflow scan is one ``demand > capacity``
-        mask per layer instead of a per-edge Python loop; overflowed
-        edges without committed users contribute no victims either way,
-        so both scans select the same nets.
+        The overflow scan is one ``demand > capacity`` mask per layer;
+        overflowed edges without committed users contribute no victims.
         """
         victims: list[str] = []
         seen: set[str] = set()
-        if self.field is not None:
-            for edge in self.field.overflow_edges():
-                users = self._edge_nets.get(edge)
-                if not users:
-                    continue
-                for name in users:
-                    if name not in seen:
-                        seen.add(name)
-                        victims.append(name)
-        else:
-            for edge, users in self._edge_nets.items():
-                if edge.kind is not EdgeKind.WIRE:
-                    continue
-                if self.graph.demand(edge) > self.graph.capacity(edge):
-                    for name in users:
-                        if name not in seen:
-                            seen.add(name)
-                            victims.append(name)
+        for edge in self.field.overflow_edges():
+            users = self._edge_nets.get(edge)
+            if not users:
+                continue
+            for name in users:
+                if name not in seen:
+                    seen.add(name)
+                    victims.append(name)
         if not victims:
             return False
         metrics = get_metrics()
@@ -344,11 +320,10 @@ class GlobalRouter:
                     try:
                         path = maze_route(
                             self.graph,
-                            self.cost,
+                            self.field,
                             sources=set(connected),
                             targets={terminal},
-                            overflow_penalty=10.0 * self.cost.params.via_weight,
-                            field=self.field,
+                            overflow_penalty=10.0 * self.field.params.via_weight,
                         )
                     except DeadlineExceeded as exc:
                         deadline = exc
@@ -405,8 +380,7 @@ class GlobalRouter:
         belt-and-braces hook for transaction rollback and for callers
         that poke the usage arrays directly (tests, invariant checkers).
         """
-        if self.field is not None:
-            self.field.note_all()
+        self.field.note_all()
         if self.cost_cache is not None:
             self.cost_cache.note_all()
 
@@ -447,17 +421,14 @@ class GlobalRouter:
 
     # ------------------------------------------------------------- queries
 
-    def enable_incremental_cost(self, enabled: bool = True) -> None:
-        """Attach (or drop) the O(dirty-nets) per-net cost cache.
+    def enable_incremental_cost(self) -> None:
+        """Attach the O(dirty-nets) per-net cost cache (idempotent).
 
         With the cache on, :meth:`net_cost` serves bit-identical cached
         values and re-prices only nets whose cost a commit/rip-up can
-        have changed; ``enabled=False`` restores the full-rescan oracle
-        (the parity suite's ``use_fast_ecc=False`` arm).
+        have changed.  CR&P attaches it; flows without CR&P never query
+        route costs often enough to pay for its bookkeeping.
         """
-        if not enabled:
-            self.cost_cache = None
-            return
         if self.cost_cache is None:
             from repro.groute.costcache import NetCostCache
 
@@ -467,16 +438,10 @@ class GlobalRouter:
         """Eq. 10 path cost of a net's current route."""
         if self.cost_cache is not None:
             return self.cost_cache.net_cost(net_name)
-        return self._net_cost_fresh(net_name)
-
-    def _net_cost_fresh(self, net_name: str) -> float:
-        """Uncached :meth:`net_cost` (the oracle the cache must match)."""
         route = self.routes.get(net_name)
         if route is None:
             return 0.0
-        if self.field is not None:
-            return self.field.path_cost(sorted(route.edges))
-        return self.cost.path_cost(sorted(route.edges))
+        return self.field.path_cost(sorted(route.edges))
 
     def total_route_cost(self) -> float:
         """Eq. 10 total over every net, summed in canonical design order.

@@ -94,7 +94,6 @@ class WindowLegalizer:
         max_targets: int = 8,
         backend: str = "auto",
         ilp_budget_s: float | None = None,
-        fast: bool = False,
     ) -> None:
         self.design = design
         self.n_sites = n_sites
@@ -103,15 +102,12 @@ class WindowLegalizer:
         self.max_targets = max_targets
         self.backend = backend
         self.ilp_budget_s = ilp_budget_s
-        self.fast = fast
         # The memo and the specialized exact solver arm only when a
         # solve is a reproducible function of the window signature: no
         # wall-clock budget (expiry degrades the ladder to greedy) and
         # an exact backend resolution.  Everything else keeps the plain
         # per-window ILP path.
-        self._fast_gcp = (
-            fast and ilp_budget_s is None and backend in ("auto", "scipy")
-        )
+        self._fast_gcp = ilp_budget_s is None and backend in ("auto", "scipy")
         #: window-signature -> solved outcome, scoped to this instance
         #: (CR&P builds a fresh legalizer per iteration)
         self._memo: dict = {}

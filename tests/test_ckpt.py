@@ -182,12 +182,13 @@ class TestCheckpointStore:
 
 
 class TestFingerprint:
-    def test_workers_and_checkpoint_dir_are_excluded(self):
+    def test_checkpoint_dir_excluded_and_removed_knobs_absent(self):
         a = run_fingerprint("d", "crp", CrpConfig(seed=5))
         b = run_fingerprint("d", "crp", CrpConfig(seed=5, checkpoint_dir="/x"))
         assert a == b
         assert "checkpoint_dir" not in a["config"]
         assert "workers" not in a["config"]
+        assert "use_fast_ecc" not in a["config"]
 
     def test_result_relevant_knobs_are_included(self):
         a = run_fingerprint("d", "crp", CrpConfig(seed=5))
@@ -275,6 +276,30 @@ class TestFlowCheckpointing:
         assert all(r.stage == "ckpt.write" for r in result.ckpt_failures)
         assert flow_signature(result) == flow_signature(ref)
         assert reg.raw()["counters"]["ckpt.write_failures"] >= 3
+
+    def test_checkpoint_with_removed_kernel_flags_is_stale(self, tmp_path):
+        """A checkpoint written while ``CrpConfig.use_fast_ecc`` and
+        ``GlobalRouter(use_cost_field=)`` existed is skipped as stale and
+        the run completes fresh; its router arguments are never used."""
+        ref = self.run_crp()
+        written = tmp_path / "written"
+        self.run_crp(written, k=1)
+        source = CheckpointStore(written)
+        meta, state = source.load(source.paths()[-1])
+        meta["fingerprint"]["config"]["use_fast_ecc"] = True
+        state["router_ctor"]["use_cost_field"] = True
+        old = tmp_path / "old"
+        CheckpointStore(old).save(meta, state)
+        with pytest.raises(TypeError):
+            restore_router(fresh_small(seed=11), state)
+
+        result = self.run_crp(old, resume=True)
+        assert result.resumed_from is None
+        assert not result.failed
+        assert [r.error_type for r in result.ckpt_failures] == [
+            "StaleCheckpoint"
+        ]
+        assert flow_signature(result) == flow_signature(ref)
 
     def test_load_fault_degrades_to_cold_start(self, tmp_path):
         ref = self.run_crp(tmp_path)

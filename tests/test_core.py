@@ -2,9 +2,11 @@
 selection, update, and the iteration driver."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from repro.core.fastecc import EccCache
 from repro.db import check_legality
 from repro.groute import GlobalRouter
 from repro.core import (
@@ -140,7 +142,7 @@ def test_estimate_current_position_close_to_routed_cost(routed):
     name = max(design.cells, key=lambda n: router.cell_cost(n))
     cell = design.cells[name]
     cand = MoveCandidate(cell=name, position=(cell.x, cell.y, cell.orient))
-    estimated = estimate_candidate_cost(design, router, cand)
+    estimated = estimate_candidate_cost(design, router, cand, EccCache())
     assert estimated > 0
 
 
@@ -160,7 +162,10 @@ def test_estimate_penalizes_distant_position(tech45):
     router.route_all()
     cell = design.cells["a"]
     here = estimate_candidate_cost(
-        design, router, MoveCandidate("a", (cell.x, cell.y, cell.orient))
+        design,
+        router,
+        MoveCandidate("a", (cell.x, cell.y, cell.orient)),
+        EccCache(),
     )
     far_row = design.rows[-1]
     far = estimate_candidate_cost(
@@ -170,29 +175,9 @@ def test_estimate_penalizes_distant_position(tech45):
             "a",
             (far_row.site_x(far_row.num_sites - 5), far_row.origin_y, far_row.orient),
         ),
+        EccCache(),
     )
     assert far > here
-
-
-def test_estimate_includes_conflicts_option(routed):
-    design, router = routed
-    name = next(
-        n for n in design.cells
-        if not design.cells[n].fixed and design.connected_cells(n)
-    )
-    neighbour = next(iter(design.connected_cells(name)))
-    cell = design.cells[name]
-    other = design.cells[neighbour]
-    cand = MoveCandidate(
-        cell=name,
-        position=(cell.x, cell.y, cell.orient),
-        conflict_moves={neighbour: (other.x, other.y, other.orient)},
-    )
-    base = estimate_candidate_cost(design, router, cand)
-    extended = estimate_candidate_cost(
-        design, router, cand, include_conflicts=True
-    )
-    assert extended >= base
 
 
 # ---------------------------------------------------------------- select
@@ -357,7 +342,7 @@ def _stub_framework(costs):
         state["i"] += 1
         return IterationStats(iteration=k)
 
-    framework._total_route_cost = total_cost
+    framework.router = SimpleNamespace(total_route_cost=total_cost)
     framework.run_iteration = run_iteration
     return framework
 

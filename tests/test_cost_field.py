@@ -1,7 +1,7 @@
 """Parity and invalidation tests for the dense cost-field kernel.
 
 The contract under test: :class:`repro.grid.field.CostField` is a pure
-speedup over the scalar :class:`repro.grid.cost.CostModel` oracle —
+speedup over the scalar :class:`oracles.cost.CostModel` oracle —
 edge costs are *bit-identical*, prefix-sum run costs agree to 1e-9
 (float association is the only permitted difference), and the field
 stays coherent through every mutation path: ``apply_route`` in both
@@ -15,7 +15,6 @@ import pytest
 
 from repro.grid import (
     CostField,
-    CostModel,
     CostParams,
     EdgeKind,
     GridEdge,
@@ -31,6 +30,8 @@ from repro.guard.deadline import (
 from repro.guard.transaction import IterationTransaction
 
 from helpers import fresh_small
+from oracles.cost import CostModel
+from oracles.groute import ScalarGlobalRouter, ScalarPatternRouter3D
 
 
 def all_wire_edges(graph: RoutingGraph) -> list[GridEdge]:
@@ -70,7 +71,7 @@ def assert_field_matches_oracle(
 def routed_graph(tech45):
     """A small routed design's graph + a (field, oracle) pair."""
     design = fresh_small(seed=7)
-    router = GlobalRouter(design, use_cost_field=False)
+    router = ScalarGlobalRouter(design)
     router.route_all(rrr_passes=1)
     field = CostField(router.graph, router.cost.params)
     return router, field, router.cost
@@ -79,7 +80,7 @@ def routed_graph(tech45):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_randomized_parity_bit_exact(tech45, seed):
     design = fresh_small(seed=seed)
-    router = GlobalRouter(design, use_cost_field=False)
+    router = ScalarGlobalRouter(design)
     field = CostField(router.graph, router.cost.params)
     randomize_usage(router.graph, seed=100 + seed)
     assert_field_matches_oracle(router.graph, field, router.cost)
@@ -87,7 +88,7 @@ def test_randomized_parity_bit_exact(tech45, seed):
 
 def test_parity_without_penalty(tech45):
     design = fresh_small(seed=5)
-    router = GlobalRouter(design, use_cost_field=False)
+    router = ScalarGlobalRouter(design)
     params = CostParams(use_penalty=False)
     field = CostField(router.graph, params)
     oracle = CostModel(router.graph, params)
@@ -146,10 +147,8 @@ def test_via_change_dirties_adjacent_wire_layers(routed_graph):
 def test_prefix_run_cost_matches_scalar(routed_graph):
     router, field, oracle = routed_graph
     graph = router.graph
-    pr_scalar = PatternRouter3D(graph, oracle, graph.min_wire_layer)
-    pr_field = PatternRouter3D(
-        graph, oracle, graph.min_wire_layer, field=field
-    )
+    pr_scalar = ScalarPatternRouter3D(graph, oracle, graph.min_wire_layer)
+    pr_field = PatternRouter3D(graph, field, graph.min_wire_layer)
     field.ensure()
     rng = np.random.RandomState(3)
     for layer in range(graph.min_wire_layer, graph.num_layers):
@@ -188,11 +187,10 @@ def test_overflow_edges_matches_scalar_scan(routed_graph):
 
 def test_parity_after_transaction_rollback(tech45):
     design = fresh_small(seed=9)
-    router = GlobalRouter(design)  # field mode: router.field is the kernel
+    router = GlobalRouter(design)
     router.route_all(rrr_passes=1)
-    oracle = router.cost
     field = router.field
-    assert field is not None
+    oracle = CostModel(router.graph, field.params)
 
     txn = IterationTransaction(design, router)
     names = list(router.routes)[:4]
@@ -208,11 +206,14 @@ def test_parity_after_transaction_rollback(tech45):
 
 
 def test_routing_mode_parity(tech45):
-    """Scalar and field modes produce byte-identical flow results."""
+    """Scalar and field routers produce byte-identical flow results."""
     results = {}
-    for use_field in (False, True):
+    for use_field, router_class in (
+        (False, ScalarGlobalRouter),
+        (True, GlobalRouter),
+    ):
         design = fresh_small(seed=13)
-        router = GlobalRouter(design, use_cost_field=use_field)
+        router = router_class(design)
         router.route_all(rrr_passes=2)
         results[use_field] = (
             {n: sorted(rt.edges) for n, rt in router.routes.items()},

@@ -6,12 +6,14 @@ from repro.geom import Point, Rect
 from repro.db import Blockage, Net, NetPin
 from repro.droute import DetailedRouter, DrcKind, TrackLattice
 from repro.droute.access import access_nodes
-from repro.droute.astar import SearchParams, astar_connect
+from repro.droute.astar import SearchParams
+from repro.droute.indexed import DrouteIndex, astar_connect_indexed
 from repro.droute.drc import check_min_area, check_shorts
 from repro.droute.obstacles import BLOCKED, build_obstacle_map
 from repro.groute import GlobalRouter
 
 from helpers import add_cell, add_two_pin_net, build_tiny_design, fresh_small
+from oracles.droute import astar_connect
 
 
 # --------------------------------------------------------------- lattice
@@ -99,11 +101,32 @@ def test_unconnected_pins_block(tech45):
 # ----------------------------------------------------------------- astar
 
 
+def connect_both(
+    lattice, sources, targets, net, owner, occupancy, bounds, guide_nodes,
+    params, soft,
+):
+    """Run the production indexed A* and the dict oracle; they must agree."""
+    expected = astar_connect(
+        lattice, sources, targets, net, owner, occupancy, bounds,
+        guide_nodes, params, soft=soft,
+    )
+    assert guide_nodes is None
+    index = DrouteIndex(lattice, owner)
+    for node, name in occupancy.items():
+        index.occupancy[index.nid_of(node)] = index.intern(name)
+    result = astar_connect_indexed(
+        index, sources, targets, net, index.intern(net), bounds, None,
+        params, soft=soft,
+    )
+    assert result == expected
+    return result
+
+
 def test_astar_direct_path(tech45):
     design = build_tiny_design(tech45, num_rows=6, sites_per_row=40)
     lattice = TrackLattice(tech45, design.die)
     params = SearchParams(via_cost=800)
-    result = astar_connect(
+    result = connect_both(
         lattice,
         sources={(1, 5, 5)},
         targets={(1, 5, 15)},
@@ -143,9 +166,9 @@ def test_astar_hard_blocked_by_other_net(tech45):
         guide_nodes=None,
         params=params,
     )
-    hard = astar_connect(soft=False, **kwargs)
+    hard = connect_both(soft=False, **kwargs)
     assert hard is None
-    soft = astar_connect(soft=True, **kwargs)
+    soft = connect_both(soft=True, **kwargs)
     assert soft is not None
     assert soft.conflicts  # it had to cross the wall
 
@@ -158,7 +181,7 @@ def test_astar_blocked_nodes_impassable_even_soft(tech45):
         for l in range(tech45.num_layers)
         for ix in range(lattice.nx)
     }
-    result = astar_connect(
+    result = connect_both(
         lattice,
         sources={(1, 5, 5)},
         targets={(1, 5, 15)},
@@ -175,7 +198,7 @@ def test_astar_blocked_nodes_impassable_even_soft(tech45):
 
 def test_astar_source_in_targets(tech45):
     lattice = TrackLattice(tech45, Rect(0, 0, 8000, 5600))
-    result = astar_connect(
+    result = connect_both(
         lattice,
         sources={(1, 2, 2)},
         targets={(1, 2, 2), (1, 9, 9)},

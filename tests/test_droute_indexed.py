@@ -1,10 +1,10 @@
 """Bit-exact parity suite: indexed detailed-routing kernel vs dict oracle.
 
-The flat-array kernel (``use_indexed=True``, the default) must produce
-byte-identical routes, violations, and quality to the dict-of-tuples
-oracle (``use_indexed=False``) on every design — same discipline as the
-grid cost field's scalar oracle.  Any divergence is a kernel bug, never
-an acceptable approximation.
+The flat-array kernel (``DetailedRouter``) must produce byte-identical
+routes, violations, and quality to the dict-of-tuples oracle
+(``oracles.droute.DictDetailedRouter``) on every design — same
+discipline as the grid cost field's scalar oracle.  Any divergence is a
+kernel bug, never an acceptable approximation.
 """
 
 from __future__ import annotations
@@ -15,9 +15,11 @@ from repro.droute import DetailedRouter
 from repro.droute.indexed import BLOCKED_ID, FREE, DrouteIndex
 from repro.droute.lattice import TrackLattice
 from repro.droute.obstacles import BLOCKED, build_obstacle_map
+from repro.droute.router import _IndexedState
 from repro.groute import GlobalRouter
 
 from helpers import add_cell, add_two_pin_net, build_tiny_design, fresh_small
+from oracles.droute import DictDetailedRouter
 
 
 def signature(result):
@@ -40,14 +42,14 @@ def signature(result):
 def route_both(design_factory, guides_from_gr: bool, **router_kw):
     """Route two fresh copies, oracle and indexed; return signatures."""
     sigs = []
-    for use_indexed in (False, True):
+    for router_class in (DictDetailedRouter, DetailedRouter):
         design = design_factory()
         guides = None
         if guides_from_gr:
             gr = GlobalRouter(design)
             gr.route_all()
             guides = gr.guides()
-        router = DetailedRouter(design, use_indexed=use_indexed, **router_kw)
+        router = router_class(design, **router_kw)
         sigs.append(signature(router.route_all(guides)))
     return sigs
 
@@ -149,4 +151,4 @@ def test_parity_dense_conflicts(tech45):
 
 def test_indexed_is_default():
     design = fresh_small()
-    assert DetailedRouter(design).use_indexed is True
+    assert type(DetailedRouter(design).begin_session()) is _IndexedState

@@ -1,8 +1,8 @@
 """Bit-exact parity suite for the incremental CR&P kernel.
 
-Every optimization behind ``CrpConfig.use_fast_ecc`` must be a pure
-speedup: the cached/incremental paths are asserted *equal* — not
-approximately equal — to the full-recompute oracles they replace, over
+Every optimization of the CR&P iteration kernel must be a pure speedup:
+the cached/incremental paths are asserted *equal* — not approximately
+equal — to the full-recompute oracles in ``tests/oracles/crp.py``, over
 randomized designs and mutation sequences.
 """
 
@@ -24,6 +24,9 @@ from repro.groute import GlobalRouter
 from repro.groute.costcache import NetCostCache
 from repro.guard import GuardPolicy, IterationTransaction
 from repro.legalizer import WindowLegalizer
+
+from oracles.crp import FullRecomputeCrp, IlpWindowLegalizer, uncached_ecc
+from oracles.groute import net_cost_fresh
 
 
 def routed(seed: int = 42, **overrides) -> tuple:
@@ -60,7 +63,10 @@ def test_ecc_cache_matches_uncached_costs(seed):
     cache = EccCache()
     for cell_candidates in candidates.values():
         for candidate in cell_candidates:
-            uncached = estimate_candidate_cost(design, router, candidate)
+            with uncached_ecc():
+                uncached = estimate_candidate_cost(
+                    design, router, candidate, EccCache()
+                )
             cached = estimate_candidate_cost(
                 design, router, candidate, cache=cache
             )
@@ -74,33 +80,17 @@ def test_ecc_cache_matches_uncached_costs(seed):
     assert cache.hits > 0
 
 
-def test_ecc_cache_include_conflicts_parity():
-    design, router = routed(seed=7)
-    config = CrpConfig()
-    CrpFramework(design, router, config)
-    critical = label_critical_cells(design, router, config, random.Random(7))
-    candidates = generate_candidates(design, critical, config)
-    cache = EccCache()
-    for cell_candidates in candidates.values():
-        for candidate in cell_candidates:
-            assert estimate_candidate_cost(
-                design, router, candidate, include_conflicts=True, cache=cache
-            ) == estimate_candidate_cost(
-                design, router, candidate, include_conflicts=True
-            )
-
-
 # ------------------------------------------------ O(dirty) cost accounting
 
 
 def full_rescan(design, router) -> float:
-    return sum(router._net_cost_fresh(name) for name in design.nets)
+    return sum(net_cost_fresh(router, name) for name in design.nets)
 
 
 @pytest.mark.parametrize("seed", [5, 42])
 def test_running_total_tracks_commit_and_rip(seed):
     design, router = routed(seed=seed)
-    router.enable_incremental_cost(True)
+    router.enable_incremental_cost()
     assert isinstance(router.cost_cache, NetCostCache)
     rng = random.Random(seed)
     names = sorted(router.routes)
@@ -121,7 +111,7 @@ def test_running_total_tracks_commit_and_rip(seed):
 
 def test_running_total_survives_out_of_band_invalidation():
     design, router = routed(seed=11)
-    router.enable_incremental_cost(True)
+    router.enable_incremental_cost()
     before = router.total_route_cost()
     router.invalidate_cost_fields()  # drops every cached value
     assert router.total_route_cost() == before == full_rescan(design, router)
@@ -129,7 +119,7 @@ def test_running_total_survives_out_of_band_invalidation():
 
 def test_running_total_survives_rollback():
     design, router = routed(seed=13)
-    router.enable_incremental_cost(True)
+    router.enable_incremental_cost()
     baseline = router.total_route_cost()
     positions0, routes0 = snapshot(design, router)
     moved = next(iter(design.cells))
@@ -153,17 +143,6 @@ def test_running_total_survives_rollback():
     assert router.total_route_cost() == baseline == full_rescan(design, router)
 
 
-def test_disabling_incremental_cost_detaches_cache():
-    design, router = routed(seed=17)
-    router.enable_incremental_cost(True)
-    assert router.cost_cache is not None
-    router.enable_incremental_cost(False)
-    assert router.cost_cache is None
-    assert router.net_cost(sorted(router.routes)[0]) == router._net_cost_fresh(
-        sorted(router.routes)[0]
-    )
-
-
 # -------------------------------------------------------- window-ILP memo
 
 
@@ -177,7 +156,8 @@ def test_window_legalizer_fast_matches_slow(seed):
     )
 
     def legalize(fast: bool):
-        legalizer = WindowLegalizer(
+        legalizer_class = WindowLegalizer if fast else IlpWindowLegalizer
+        legalizer = legalizer_class(
             design,
             n_sites=config.n_sites,
             n_rows=config.n_rows,
@@ -185,7 +165,6 @@ def test_window_legalizer_fast_matches_slow(seed):
             max_targets=config.max_targets,
             backend=config.ilp_backend,
             ilp_budget_s=config.ilp_budget_s,
-            fast=fast,
         )
         outcome = {name: legalizer.run(name) for name in critical}
         return outcome, legalizer
@@ -221,7 +200,6 @@ def test_window_memo_hits_are_deterministic():
         n_rows=config.n_rows,
         max_cells=config.max_cells,
         max_targets=config.max_targets,
-        fast=True,
     )
     for name in critical:
         first = [
@@ -243,9 +221,10 @@ def run_iterations(seed: int, fast: bool, k: int = 2):
     design = fresh_small(seed=seed)
     router = GlobalRouter(design)
     router.route_all(rrr_passes=2)
-    framework = CrpFramework(design, router, CrpConfig(use_fast_ecc=fast))
+    framework_class = CrpFramework if fast else FullRecomputeCrp
+    framework = framework_class(design, router, CrpConfig())
     framework.run(iterations=k)
-    return snapshot(design, router), framework._total_route_cost()
+    return snapshot(design, router), router.total_route_cost()
 
 
 @pytest.mark.parametrize("seed", [9, 42])
@@ -258,9 +237,8 @@ def test_converged_parity_and_single_scan_per_pass():
         design = fresh_small(seed=31)
         router = GlobalRouter(design)
         router.route_all(rrr_passes=2)
-        framework = CrpFramework(
-            design, router, CrpConfig(use_fast_ecc=fast)
-        )
+        framework_class = CrpFramework if fast else FullRecomputeCrp
+        framework = framework_class(design, router, CrpConfig())
         result = framework.run_until_converged(max_iterations=4)
         return snapshot(design, router), len(result.iterations)
 
@@ -272,10 +250,11 @@ def test_guarded_rollback_keeps_parity():
         design = fresh_small(seed=55)
         router = GlobalRouter(design)
         router.route_all(rrr_passes=2)
-        framework = CrpFramework(
+        framework_class = CrpFramework if fast else FullRecomputeCrp
+        framework = framework_class(
             design,
             router,
-            CrpConfig(use_fast_ecc=fast),
+            CrpConfig(),
             guard=GuardPolicy(cost_tolerance=-1.0),  # force rollbacks
         )
         result = framework.run(iterations=2)

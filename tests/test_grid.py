@@ -1,4 +1,10 @@
-"""Unit tests for the GCell grid, routing graph, and cost model."""
+"""Unit tests for the GCell grid, routing graph, and cost model.
+
+The penalty tests exercise the scalar reference model
+(``oracles.cost.CostModel``), whose Eq. 10 penalty term is exposed per
+edge; the edge, path and lower-bound costs are checked on the
+production :class:`CostField`.
+"""
 
 import math
 
@@ -8,7 +14,7 @@ from repro.geom import Point, Rect
 from repro.db import Blockage
 from repro.db.design import GCellGridSpec
 from repro.grid import (
-    CostModel,
+    CostField,
     CostParams,
     EdgeKind,
     GCellGrid,
@@ -17,6 +23,7 @@ from repro.grid import (
 )
 
 from helpers import build_tiny_design
+from oracles.cost import CostModel
 
 
 @pytest.fixture()
@@ -183,19 +190,19 @@ def test_penalty_disabled(graph):
 
 
 def test_via_edge_cost_is_weight(graph):
-    model = CostModel(graph)
+    model = CostField(graph)
     assert model.edge_cost(GridEdge(0, 0, 0, EdgeKind.VIA)) == 2.0
 
 
 def test_wire_cost_scales_with_distance(graph):
-    model = CostModel(graph, CostParams(use_penalty=False))
+    model = CostField(graph, CostParams(use_penalty=False))
     cost = model.edge_cost(GridEdge(2, 0, 0, EdgeKind.WIRE))
     # one gcell step = 2000 DBU = 10 M2 pitches, weight 0.5
     assert cost == pytest.approx(0.5 * 10)
 
 
 def test_lower_bound_is_admissible(graph):
-    model = CostModel(graph)
+    model = CostField(graph)
     a, b = (0, 0, 0), (3, 4, 2)
     lb = model.lower_bound(a, b)
     # congestion-free direct cost: wire + via stack
@@ -204,7 +211,7 @@ def test_lower_bound_is_admissible(graph):
 
 
 def test_path_cost_sums(graph):
-    model = CostModel(graph)
+    model = CostField(graph)
     edges = [GridEdge(2, 0, 0, EdgeKind.WIRE), GridEdge(2, 0, 0, EdgeKind.VIA)]
     assert model.path_cost(edges) == pytest.approx(
         model.edge_cost(edges[0]) + model.edge_cost(edges[1])

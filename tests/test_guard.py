@@ -300,11 +300,11 @@ def test_update_step_exception_rolls_back(routed):
 def test_worst_selection_is_contained_by_guard(routed):
     design, router = routed
     framework = CrpFramework(design, router, CrpConfig(seed=1))
-    pre_cost = framework._total_route_cost()
+    pre_cost = router.total_route_cost()
     with use_faults(FaultPlan().force("crp.select", "worst")) as plan:
         framework.run_iteration(0)
     assert plan.fired("crp.select") == 1
-    post_cost = framework._total_route_cost()
+    post_cost = router.total_route_cost()
     tolerance = framework.guard.cost_tolerance
     assert post_cost <= pre_cost * (1.0 + tolerance) + 1e-9
     assert check_legality(design).is_legal

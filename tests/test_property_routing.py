@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from repro.geom import Point
 from repro.db.design import GCellGridSpec
-from repro.grid import EdgeKind, GCellGrid, RoutingGraph, CostModel
+from repro.grid import CostField, EdgeKind, GCellGrid, RoutingGraph
 from repro.groute import PatternRouter3D, maze_route, pattern_paths_2d
 from repro.benchgen import build_tech
+
+from oracles.cost import CostModel
 
 _TECH = build_tech("45nm")
 _GRID = GCellGrid(GCellGridSpec(0, 0, 2000, 2000, 12, 12))
@@ -58,14 +60,14 @@ def _edges_connect(graph, edges, src, dst):
 @given(gpoints, gpoints, st.integers(0, 8), st.integers(0, 8))
 def test_pattern3d_routes_connect_endpoints(a, b, src_layer, dst_layer):
     graph = _fresh_graph()
-    router = PatternRouter3D(graph, CostModel(graph), min_layer=1)
+    router = PatternRouter3D(graph, CostField(graph), min_layer=1)
     paths = pattern_paths_2d(a, b)
     result = router.route(paths[0], src_layer, dst_layer)
     assert result is not None
     src = (src_layer, a[0], a[1])
     dst = (dst_layer, b[0], b[1])
     assert _edges_connect(graph, result.edges, src, dst)
-    # Cost is the sum of edge costs under the same model.
+    # Cost is the sum of edge costs under the scalar reference model.
     model = CostModel(graph)
     assert abs(result.cost - model.path_cost(result.edges)) < 1e-6
 
@@ -75,7 +77,7 @@ def test_pattern3d_routes_connect_endpoints(a, b, src_layer, dst_layer):
 def test_maze_matches_pattern_quality_or_better(a, b, src_layer, dst_layer):
     """On an empty graph, maze routing never loses to pattern routing."""
     graph = _fresh_graph()
-    cost = CostModel(graph)
+    cost = CostField(graph)
     pattern = PatternRouter3D(graph, cost, min_layer=1)
     best_pattern = None
     for path in pattern_paths_2d(a, b):
@@ -97,7 +99,7 @@ def test_maze_matches_pattern_quality_or_better(a, b, src_layer, dst_layer):
                 min_size=2, max_size=6, unique=True))
 def test_maze_multi_source_reaches_some_target(nodes):
     graph = _fresh_graph()
-    cost = CostModel(graph)
+    cost = CostField(graph)
     sources = {nodes[0]}
     targets = set(nodes[1:])
     path = maze_route(graph, cost, sources, targets, margin=12)
